@@ -1,10 +1,22 @@
-// Differential forwarding tests: the flow cache, device burst dequeue, and
-// inline pipeline dispatch are optimizations, never behavior changes. Every
-// pinned fuzz-corpus scenario (plus a spread of generated ones) is run twice
-// — once with the full datapath tuning enabled, once with every knob forced
-// off — and the two runs must produce byte-identical packet traces at the
-// endpoints and identical end-state metrics. A single diverging frame, byte,
-// timestamp, or counter fails the test and names the first divergence.
+// Golden frame-trace digests for the forwarding datapath. Every pinned
+// fuzz-corpus scenario, plus a spread of generated ones, is replayed with the
+// mobile host's devices and the correspondent host tapped. The endpoint frame
+// trace (one line per frame: time, MACs, ethertype, length, payload hash, and
+// a full hex dump of small control-plane payloads) and the end-state metric
+// snapshot are each folded into a digest and compared against
+// tests/datapath_digests.txt.
+//
+// The checked-in digests were recorded while the datapath still carried its
+// optional bypasses, at a point where runs with every bypass on and with
+// every bypass off produced byte-identical traces — so they pin the plain
+// per-frame, fully scheduled behavior, and any refactor of the forwarding
+// path must replay them unchanged. A mismatch prints the line the run
+// produced; update the file only for a deliberate behavior change, and say so
+// in the change description.
+//
+// The digests assume IEEE-754 double arithmetic without fused multiply-add
+// contraction (the x86-64 default): the simulator's delay draws are floating
+// point and land in the frame timestamps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,45 +31,58 @@
 
 #include "src/check/fuzzer.h"
 #include "src/check/scenario_gen.h"
-#include "src/net/datapath_tuning.h"
 
 namespace msn {
 namespace {
 
-// FNV-1a over the payload wire bytes: keeps trace lines compact while any
-// single-byte payload difference still flips the line.
-uint64_t HashBytes(const uint8_t* data, size_t size) {
-  uint64_t h = 1469598103934665603ull;
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+
+// FNV-1a: compact payload hashes in trace lines, and the running digests.
+uint64_t HashBytes(const uint8_t* data, size_t size, uint64_t h = kFnvOffset) {
   for (size_t i = 0; i < size; ++i) {
     h = (h ^ data[i]) * 1099511628211ull;
   }
   return h;
 }
 
-struct RunCapture {
-  std::vector<std::string> trace;  // One line per frame seen at an endpoint.
-  std::map<std::string, double> metrics;
-  bool failed = false;
+uint64_t HashLine(const std::string& line, uint64_t h) {
+  h = HashBytes(reinterpret_cast<const uint8_t*>(line.data()), line.size(), h);
+  const uint8_t newline = '\n';
+  return HashBytes(&newline, 1, h);
+}
+
+// One scenario's observable outcome, folded into a single digest line:
+// "<label> frames=<n> trace=<hex> metrics=<n> snapshot=<hex> checks=<n>".
+struct RunDigest {
+  uint64_t frames = 0;
+  uint64_t trace = kFnvOffset;
+  uint64_t metric_count = 0;
+  uint64_t snapshot = kFnvOffset;
   uint64_t checks = 0;
+  bool failed = false;
+
+  std::string Line(const std::string& label) const {
+    char line[200];
+    std::snprintf(line, sizeof(line),
+                  "%s frames=%llu trace=%016llx metrics=%llu snapshot=%016llx checks=%llu",
+                  label.c_str(), static_cast<unsigned long long>(frames),
+                  static_cast<unsigned long long>(trace),
+                  static_cast<unsigned long long>(metric_count),
+                  static_cast<unsigned long long>(snapshot),
+                  static_cast<unsigned long long>(checks));
+    return line;
+  }
 };
 
-// Runs `spec` with the datapath tuning fully enabled or fully disabled,
-// tapping the mobile host's two devices and the correspondent host — the
-// endpoints whose wire behavior defines "what the network did".
-RunCapture RunWithTuning(const ScenarioSpec& spec, bool optimized) {
-  GlobalDatapathTuning().Reset();
-  if (!optimized) {
-    GlobalDatapathTuning().flow_cache = false;
-    GlobalDatapathTuning().device_burst = false;
-    GlobalDatapathTuning().inline_pipeline = false;
-  }
-
-  RunCapture cap;
+// Runs `spec`, tapping the mobile host's two devices and the correspondent
+// host — the endpoints whose wire behavior defines "what the network did".
+RunDigest RunAndDigest(const ScenarioSpec& spec) {
+  RunDigest digest;
   RunOptions options;
-  options.instrument = [&cap](Testbed& tb) {
-    auto tap_for = [&cap, &tb](const char* dev_name) {
-      return [&cap, &tb, dev_name](const EthernetFrame& frame,
-                                   NetDevice::TapDirection dir) {
+  options.instrument = [&digest](Testbed& tb) {
+    auto tap_for = [&digest, &tb](const char* dev_name) {
+      return [&digest, &tb, dev_name](const EthernetFrame& frame,
+                                      NetDevice::TapDirection dir) {
         char line[160];
         std::snprintf(line, sizeof(line),
                       "%s %c t=%lld %s>%s et=%04x len=%zu payload=%016llx",
@@ -70,9 +95,8 @@ RunCapture RunWithTuning(const ScenarioSpec& spec, bool optimized) {
                           HashBytes(frame.payload.data(), frame.payload.size())));
         std::string entry = line;
         if (frame.payload.size() <= 64) {
-          // Small control-plane payloads (ARP, ICMP, registration) get a
-          // full hex dump so a divergence names the exact differing byte;
-          // bulk frames rely on the hash.
+          // Small control-plane payloads (ARP, ICMP, registration) enter the
+          // digest byte for byte; bulk frames rely on the payload hash.
           entry += " hex=";
           char byte[4];
           for (size_t i = 0; i < frame.payload.size(); ++i) {
@@ -80,7 +104,8 @@ RunCapture RunWithTuning(const ScenarioSpec& spec, bool optimized) {
             entry += byte;
           }
         }
-        cap.trace.emplace_back(std::move(entry));
+        ++digest.frames;
+        digest.trace = HashLine(entry, digest.trace);
       };
     };
     tb.mh_eth->SetTap(tap_for("mh_eth"));
@@ -89,65 +114,56 @@ RunCapture RunWithTuning(const ScenarioSpec& spec, bool optimized) {
     }
     tb.ch_dev->SetTap(tap_for("ch"));
   };
-  options.on_complete = [&cap](Testbed& tb) {
+  options.on_complete = [&digest](Testbed& tb) {
     for (const auto& [name, value] : tb.metrics.ScalarSnapshot()) {
-      // The cache's own accounting is the one namespace allowed to differ
-      // between the two runs; everything else must match exactly.
+      // The flow cache's own hit/miss accounting is bookkeeping about how a
+      // decision was reached, not what the network did.
       if (name.rfind("flow_cache.", 0) == 0) {
         continue;
       }
-      cap.metrics[name] = value;
+      char line[256];
+      std::snprintf(line, sizeof(line), "%s=%.17g", name.c_str(), value);
+      ++digest.metric_count;
+      digest.snapshot = HashLine(line, digest.snapshot);
     }
   };
 
   const RunResult result = RunScenario(spec, options);
-  cap.failed = result.failed();
-  cap.checks = result.report.checks;
-  GlobalDatapathTuning().Reset();
-  return cap;
+  digest.failed = result.failed();
+  digest.checks = result.report.checks;
+  return digest;
 }
 
-void ExpectIdentical(const std::string& label, const RunCapture& on,
-                     const RunCapture& off) {
-  EXPECT_FALSE(on.failed) << label << ": oracle failure with tuning enabled";
-  EXPECT_FALSE(off.failed) << label << ": oracle failure with tuning disabled";
-  EXPECT_EQ(on.checks, off.checks) << label << ": oracle check counts diverged";
-
-  // Packet traces: find and name the first divergent frame.
-  const size_t common = std::min(on.trace.size(), off.trace.size());
-  for (size_t i = 0; i < common; ++i) {
-    ASSERT_EQ(on.trace[i], off.trace[i])
-        << label << ": first trace divergence at frame " << i << " of "
-        << common;
+// Golden lines keyed by their label (the first word).
+std::map<std::string, std::string> LoadGolden() {
+  std::map<std::string, std::string> golden;
+  std::ifstream in(MSN_DATAPATH_DIGESTS);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    golden[line.substr(0, line.find(' '))] = line;
   }
-  ASSERT_EQ(on.trace.size(), off.trace.size())
-      << label << ": trace lengths diverged after " << common
-      << " identical frames; next frame on the longer side: "
-      << (on.trace.size() > off.trace.size() ? on.trace[common]
-                                             : off.trace[common]);
-
-  // End-state metrics: every exported counter/gauge outside flow_cache.*.
-  auto it_on = on.metrics.begin();
-  auto it_off = off.metrics.begin();
-  while (it_on != on.metrics.end() && it_off != off.metrics.end()) {
-    ASSERT_EQ(it_on->first, it_off->first) << label << ": metric sets diverged";
-    EXPECT_EQ(it_on->second, it_off->second)
-        << label << ": metric " << it_on->first << " diverged";
-    ++it_on;
-    ++it_off;
-  }
-  EXPECT_TRUE(it_on == on.metrics.end() && it_off == off.metrics.end())
-      << label << ": metric sets have different sizes";
+  return golden;
 }
 
-void DiffScenario(const std::string& label, const ScenarioSpec& spec) {
-  const RunCapture on = RunWithTuning(spec, /*optimized=*/true);
-  const RunCapture off = RunWithTuning(spec, /*optimized=*/false);
-  EXPECT_FALSE(on.trace.empty()) << label << ": endpoints saw no traffic at all";
-  ExpectIdentical(label, on, off);
+void ExpectGolden(const std::map<std::string, std::string>& golden, const std::string& label,
+                  const ScenarioSpec& spec) {
+  const RunDigest digest = RunAndDigest(spec);
+  EXPECT_FALSE(digest.failed) << label << ": oracle failure";
+  EXPECT_GT(digest.frames, 0u) << label << ": endpoints saw no traffic at all";
+  const auto it = golden.find(label);
+  ASSERT_NE(it, golden.end()) << label << ": no golden digest in " << MSN_DATAPATH_DIGESTS
+                              << "; this run produced:\n"
+                              << digest.Line(label);
+  EXPECT_EQ(it->second, digest.Line(label))
+      << label << ": frame trace or metric snapshot diverged from the golden digest";
 }
 
-TEST(DatapathDiffTest, EveryCorpusScenarioIsTuningInvariant) {
+TEST(DatapathDiffTest, EveryCorpusScenarioMatchesGoldenDigest) {
+  const auto golden = LoadGolden();
+  ASSERT_FALSE(golden.empty()) << "no digests read from " << MSN_DATAPATH_DIGESTS;
   std::vector<std::filesystem::path> files;
   for (const auto& entry : std::filesystem::directory_iterator(MSN_CORPUS_DIR)) {
     if (entry.path().extension() == ".seed") {
@@ -165,16 +181,16 @@ TEST(DatapathDiffTest, EveryCorpusScenarioIsTuningInvariant) {
     std::string error;
     const auto spec = ScenarioSpec::Parse(buffer.str(), &error);
     ASSERT_TRUE(spec.has_value()) << path << ": " << error;
-    DiffScenario(path.filename().string(), *spec);
+    ExpectGolden(golden, path.filename().string(), *spec);
   }
 }
 
-TEST(DatapathDiffTest, GeneratedScenariosAreTuningInvariant) {
+TEST(DatapathDiffTest, GeneratedScenariosMatchGoldenDigest) {
   // A seed spread on top of the pinned corpus, so shapes the corpus doesn't
-  // pin (radio handoffs, overload bursts, mobility corridors) get the same
-  // on/off treatment every run.
+  // pin (radio handoffs, overload bursts, mobility corridors) are covered too.
+  const auto golden = LoadGolden();
   for (const uint64_t seed : {11ull, 42ull, 1996ull, 20260809ull}) {
-    DiffScenario("seed-" + std::to_string(seed), GenerateScenario(seed));
+    ExpectGolden(golden, "seed-" + std::to_string(seed), GenerateScenario(seed));
   }
 }
 
