@@ -26,7 +26,9 @@
 //      exemption branches on the hint (paper §3.3).
 //
 // tests/flow_cache_test.cc pins the invalidation contract per hook;
-// tests/datapath_diff_test.cc proves on == off end to end.
+// tests/datapath_diff_test.cc pins end-to-end traces recorded with the cache
+// both on and off, and the fuzzer's flow-cache-coherence oracle shadow-checks
+// every hit against RouteLookupUncached.
 #ifndef MSN_SRC_NODE_FLOW_CACHE_H_
 #define MSN_SRC_NODE_FLOW_CACHE_H_
 
@@ -53,6 +55,9 @@ class FlowCache {
     CounterRef* policy_counter = nullptr;
     uint64_t* policy_hits = nullptr;
   };
+
+  // Entries each IpStack's cache holds before the deterministic full clear.
+  static constexpr size_t kCapacity = 1024;
 
   // Counters land in `metrics` as "flow_cache.<node>.{hits,misses,
   // invalidations}".

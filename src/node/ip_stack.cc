@@ -5,7 +5,6 @@
 
 #include "src/link/net_device.h"
 #include "src/net/checksum.h"
-#include "src/net/datapath_tuning.h"
 #include "src/node/flow_cache.h"
 #include "src/node/udp.h"
 #include "src/util/assert.h"
@@ -13,27 +12,6 @@
 #include "src/util/logging.h"
 
 namespace msn {
-
-namespace {
-
-// Inline dispatch for internal zero-delay pipeline stages. When the stage
-// completes at the current instant and nothing else is due at this instant,
-// the scheduled continuation would be the very next event popped — running it
-// inline is order-identical and skips the event-queue round trip, which is
-// most of the per-packet cost in calibration-free runs. Any same-time event
-// pending, or any nonzero delay, falls back to the scheduler. Never used for
-// the first SendDatagram stage: applications observe that asynchrony.
-template <typename Fn>
-void DispatchStage(Simulator& sim, Time fire, Fn&& fn) {
-  if (GlobalDatapathTuning().inline_pipeline && fire == sim.Now() &&
-      sim.NextEventTime() > sim.Now()) {
-    std::forward<Fn>(fn)();
-    return;
-  }
-  sim.ScheduleAt(fire, std::forward<Fn>(fn));
-}
-
-}  // namespace
 
 IpStack::IpStack(Simulator& sim, std::string node_name, MetricsRegistry* metrics)
     : sim_(sim), node_name_(std::move(node_name)),
@@ -63,8 +41,7 @@ IpStack::IpStack(Simulator& sim, std::string node_name, MetricsRegistry* metrics
   counters_.fragments_sent = metrics->GetCounterRef(prefix + "fragments_sent");
   counters_.drop_fragmentation_needed =
       metrics->GetCounterRef(prefix + "drop_fragmentation_needed");
-  flow_cache_ = std::make_unique<FlowCache>(GlobalDatapathTuning().flow_cache_capacity,
-                                            *metrics, node_name_);
+  flow_cache_ = std::make_unique<FlowCache>(FlowCache::kCapacity, *metrics, node_name_);
   // Route changes of any provenance (ifconfig, redirects, tests poking
   // routes() directly) orphan cached decisions without the mutator's help.
   routes_.SetChangeListener([this] { InvalidateFlowCache(); });
@@ -261,8 +238,7 @@ std::optional<RouteDecision> IpStack::RouteLookup(const RouteQuery& query) {
   // canonical src_hint = Any and the bound source substituted on the way
   // out, while non-Any local queries (override-exempt by definition) go
   // straight to the tables.
-  const bool eligible = GlobalDatapathTuning().flow_cache &&
-                        (query.forwarding || query.src_hint.IsAny());
+  const bool eligible = query.forwarding || query.src_hint.IsAny();
   std::optional<RouteDecision> decision;
   if (!eligible) {
     decision = LookupUncached(query, policy_counter, policy_hits);
@@ -563,8 +539,8 @@ void IpStack::InjectReceivedPacket(const Ipv4Header& header, Packet wire, NetDev
       }
       const Time fire =
           PipelineDelay(deliver_pipe_busy_, delays_.deliver_mean, delays_.deliver_jitter);
-      DispatchStage(sim_, fire, [this, whole_header = whole->header,
-                                 payload = Packet(std::move(whole->payload)), ingress, link_src] {
+      sim_.ScheduleAt(fire, [this, whole_header = whole->header,
+                             payload = Packet(std::move(whole->payload)), ingress, link_src] {
         Deliver(whole_header, payload, ingress, link_src);
       });
       return;
@@ -573,10 +549,9 @@ void IpStack::InjectReceivedPacket(const Ipv4Header& header, Packet wire, NetDev
     // and deliver a zero-copy view of the payload bytes.
     const Time fire =
         PipelineDelay(deliver_pipe_busy_, delays_.deliver_mean, delays_.deliver_jitter);
-    DispatchStage(
-        sim_, fire, [this, header, payload = wire.Slice(Ipv4Header::kSize,
-                                                        wire.size() - Ipv4Header::kSize),
-                     ingress, link_src] { Deliver(header, payload, ingress, link_src); });
+    sim_.ScheduleAt(fire, [this, header,
+                           payload = wire.Slice(Ipv4Header::kSize, wire.size() - Ipv4Header::kSize),
+                           ingress, link_src] { Deliver(header, payload, ingress, link_src); });
     return;
   }
   if (forwarding_enabled_) {
@@ -649,7 +624,7 @@ void IpStack::Forward(Ipv4Header header, Packet wire, NetDevice* ingress) {
   ++counters_.datagrams_forwarded;
   const Time fire =
       PipelineDelay(forward_pipe_busy_, delays_.forward_mean, delays_.forward_jitter);
-  DispatchStage(sim_, fire, [this, header, wire = std::move(wire)]() mutable {
+  sim_.ScheduleAt(fire, [this, header, wire = std::move(wire)]() mutable {
     DoSend(header, std::move(wire), /*forwarding=*/true, SendOptions{});
   });
 }

@@ -184,12 +184,13 @@ class IpStack {
   }
 
   // The paper's ip_rt_route(): override first, then the routing table —
-  // fronted by the per-node flow cache when DatapathTuning enables it.
+  // fronted by the per-node flow cache.
   [[nodiscard]] std::optional<RouteDecision> RouteLookup(const RouteQuery& query);
 
   // The uncached lookup the cache memoizes, exposed for the fuzzer's
-  // flow-cache-coherence oracle (shadow compare) and the differential
-  // tests. Performs no per-packet counting and never touches the cache.
+  // flow-cache-coherence oracle (shadow compare), the flow-cache tests and
+  // benchmarks that time a miss. Performs no per-packet counting and never
+  // touches the cache.
   [[nodiscard]] std::optional<RouteDecision> RouteLookupUncached(const RouteQuery& query);
 
   // Orphans every cached route decision (O(1) generation bump). Wired to

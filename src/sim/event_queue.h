@@ -73,7 +73,7 @@ class EventQueue {
   };
   Entry PopNext();
 
-  // Scheduling-path split since construction; feeds the burst.* probes.
+  // Scheduling-path split since construction.
   struct LaneStats {
     uint64_t lane_scheduled = 0;  // O(1) immediate-lane pushes.
     uint64_t heap_scheduled = 0;  // O(log n) heap pushes.

@@ -46,13 +46,7 @@ class Simulator {
   bool HasPendingEvents() const { return !queue_.empty(); }
   uint64_t events_executed() const { return events_executed_; }
 
-  // Earliest pending event's timestamp; Time::Max() when idle. The inline
-  // datapath dispatch (DESIGN.md §18) uses this to prove that running a
-  // zero-delay continuation immediately cannot jump ahead of any other
-  // pending same-time event.
-  Time NextEventTime() const { return queue_.NextTime(); }
-
-  // Scheduling-path split (immediate lane vs heap) for the burst.* probes.
+  // Scheduling-path split (immediate lane vs heap), read by the benches.
   const EventQueue::LaneStats& queue_lane_stats() const { return queue_.lane_stats(); }
 
  private:

@@ -5,7 +5,6 @@
 // hook and watching a stale decision get served.
 #include <gtest/gtest.h>
 
-#include "src/net/datapath_tuning.h"
 #include "src/node/flow_cache.h"
 #include "src/node/node.h"
 #include "src/sim/simulator.h"
@@ -14,17 +13,6 @@
 
 namespace msn {
 namespace {
-
-// Restores the global datapath tuning after each test so knob changes cannot
-// leak across test cases.
-class TuningGuard {
- public:
-  TuningGuard() : saved_(GlobalDatapathTuning()) {}
-  ~TuningGuard() { GlobalDatapathTuning() = saved_; }
-
- private:
-  DatapathTuning saved_;
-};
 
 class FlowCacheStackFixture : public ::testing::Test {
  protected:
@@ -41,7 +29,6 @@ class FlowCacheStackFixture : public ::testing::Test {
   FlowCache& cache() { return node_.stack().flow_cache(); }
 
   Simulator sim_;
-  TuningGuard guard_;
   Node node_;
   EthernetDevice* dev_;
   EthernetDevice* dev2_;
@@ -176,37 +163,26 @@ TEST_F(FlowCacheStackFixture, CentralCountingIsIdenticalForCachedAndFreshAnswers
   EXPECT_GT(cache().hits(), 0u) << "the counted lookups must include cache hits";
 }
 
-TEST_F(FlowCacheStackFixture, CapacityOverflowClearsDeterministically) {
-  GlobalDatapathTuning().flow_cache_capacity = 2;
-  Node small(sim_, "small");
-  EthernetDevice* d = small.AddEthernet("eth0", nullptr);
-  d->ForceUp();
-  small.ConfigureInterface(d, "10.2.0.1/24");
-  small.AddDefaultRoute(Ipv4Address(10, 2, 0, 254), d);
-  FlowCache& fc = small.stack().flow_cache();
-  for (int i = 1; i <= 5; ++i) {
-    auto decision = small.stack().RouteLookup(
-        {Ipv4Address(36, 8, 0, static_cast<uint8_t>(i)), Ipv4Address::Any(),
-         /*forwarding=*/true});
-    ASSERT_TRUE(decision.has_value());
+TEST(FlowCacheTest, CapacityOverflowClearsDeterministically) {
+  MetricsRegistry metrics;
+  FlowCache fc(/*capacity=*/2, metrics, "small");
+  auto value_for = [](uint8_t host) {
+    RouteDecision decision;
+    decision.next_hop = Ipv4Address(10, 2, 0, host);
+    return FlowCache::Value{decision, nullptr, nullptr};
+  };
+  for (uint8_t i = 1; i <= 5; ++i) {
+    fc.Insert(Ipv4Address(36, 8, 0, i), /*forwarding=*/true, value_for(i));
+    EXPECT_LE(fc.entry_count(), 2u);
   }
-  EXPECT_LE(fc.entry_count(), 2u);
-  // Answers stay correct across the clears.
-  auto decision = small.stack().RouteLookup(
-      {Ipv4Address(36, 8, 0, 1), Ipv4Address::Any(), /*forwarding=*/true});
-  ASSERT_TRUE(decision.has_value());
-  EXPECT_EQ(decision->device, d);
-}
-
-TEST_F(FlowCacheStackFixture, TuningOffBypassesCacheEntirely) {
-  GlobalDatapathTuning().flow_cache = false;
-  const RouteQuery q{Ipv4Address(36, 8, 0, 9), Ipv4Address::Any(), /*forwarding=*/true};
-  const uint64_t hits = cache().hits();
-  const uint64_t misses = cache().misses();
-  ASSERT_TRUE(node_.stack().RouteLookup(q).has_value());
-  ASSERT_TRUE(node_.stack().RouteLookup(q).has_value());
-  EXPECT_EQ(cache().hits(), hits);
-  EXPECT_EQ(cache().misses(), misses);
+  // Inserts 3 and 5 each found the cache full and cleared it, whatever the
+  // hash-bucket order: only the last insert survives.
+  EXPECT_EQ(fc.entry_count(), 1u);
+  EXPECT_EQ(fc.Find(Ipv4Address(36, 8, 0, 4), /*forwarding=*/true), nullptr);
+  const FlowCache::Value* hit = fc.Find(Ipv4Address(36, 8, 0, 5), /*forwarding=*/true);
+  ASSERT_NE(hit, nullptr);
+  ASSERT_TRUE(hit->decision.has_value());
+  EXPECT_EQ(hit->decision->next_hop, Ipv4Address(10, 2, 0, 5));
 }
 
 // The regression that locks the invalidation contract in place: disconnect
@@ -259,7 +235,6 @@ class FlowCacheMobilityFixture : public ::testing::Test {
   // Default testbed collocates the home agent on the router.
   uint64_t HaGeneration() { return tb_->router->stack().flow_cache().generation(); }
 
-  TuningGuard guard_;
   std::unique_ptr<Testbed> tb_;
 };
 

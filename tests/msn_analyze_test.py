@@ -117,15 +117,45 @@ class LexicalBackendTest(unittest.TestCase):
                         "}\n")
         self.assertEqual(self.run_lexical(), [])
 
-    # --- determinism/wall-clock + ambient-rng (fallback reuses msn_lint) -----
+    # --- determinism/wall-clock + ambient-rng --------------------------------
 
     def test_wall_clock_flagged(self):
         self.tree.write("src/node/bad.cc", "long t = time(nullptr);\n")
         self.assertEqual(rules_of(self.run_lexical()), ["determinism/wall-clock"])
 
+    def test_chrono_clocks_flagged(self):
+        self.tree.write("src/node/bad.cc",
+                        "auto t = std::chrono::steady_clock::now();\n"
+                        "auto u = std::chrono::system_clock::now();\n")
+        self.assertEqual(rules_of(self.run_lexical()),
+                         ["determinism/wall-clock"] * 2)
+
+    def test_wall_clock_in_comment_not_flagged(self):
+        self.tree.write("src/node/ok.cc",
+                        "// Never call time(nullptr) here; the sim clock rules.\n"
+                        "int f();\n")
+        self.assertEqual(self.run_lexical(), [])
+
+    def test_identifier_suffix_time_not_flagged(self):
+        self.tree.write("src/node/ok.cc", "set_bring_up_time(d); auto x = bring_up_time();\n")
+        self.assertEqual(self.run_lexical(), [])
+
     def test_ambient_rng_flagged(self):
         self.tree.write("src/node/bad.cc", "std::mt19937 gen(42);\n")
         self.assertEqual(rules_of(self.run_lexical()), ["determinism/ambient-rng"])
+
+    def test_std_rand_and_random_device_flagged(self):
+        self.tree.write("src/link/bad.cc",
+                        "int a = std::rand();\n"
+                        "std::random_device rd;\n")
+        self.assertEqual(rules_of(self.run_lexical()),
+                         ["determinism/ambient-rng"] * 2)
+
+    def test_rng_allow_comment_on_previous_line(self):
+        self.tree.write("src/link/ok.cc",
+                        "// msn-analyze: allow(determinism/ambient-rng)\n"
+                        "std::mt19937 gen(seed);\n")
+        self.assertEqual(self.run_lexical(), [])
 
     def test_sim_clock_and_msn_rng_ok(self):
         self.tree.write("src/node/ok.cc",

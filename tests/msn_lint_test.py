@@ -15,8 +15,8 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 import msn_lint  # noqa: E402
 
 
-def run_lint(root: Path, paths=("src",), with_retired=False):
-    return msn_lint.lint_paths(root, list(paths), with_retired=with_retired)
+def run_lint(root: Path, paths=("src",)):
+    return msn_lint.lint_paths(root, list(paths))
 
 
 def rules_of(violations):
@@ -45,64 +45,15 @@ class MsnLintTest(unittest.TestCase):
         self.tree = FixtureTree()
         self.addCleanup(self.tree.cleanup)
 
-    # --- determinism/wall-clock (retired; fallback behind --with-retired) ---
+    # --- determinism rules live in msn_analyze ------------------------------
 
-    def test_wall_clock_flagged(self):
-        self.tree.write("src/node/bad.cc", "void f() { long t = time(nullptr); (void)t; }\n")
-        self.assertEqual(rules_of(run_lint(self.tree.root, with_retired=True)),
-                         ["determinism/wall-clock"])
-
-    def test_chrono_clocks_flagged(self):
-        self.tree.write("src/node/bad.cc",
-                        "auto t = std::chrono::steady_clock::now();\n"
-                        "auto u = std::chrono::system_clock::now();\n")
-        self.assertEqual(rules_of(run_lint(self.tree.root, with_retired=True)),
-                         ["determinism/wall-clock", "determinism/wall-clock"])
-
-    def test_wall_clock_in_comment_not_flagged(self):
-        self.tree.write("src/node/ok.cc",
-                        "// Never call time(nullptr) here; the sim clock rules.\n"
-                        "int f();\n")
-        self.assertEqual(run_lint(self.tree.root, with_retired=True), [])
-
-    def test_wall_clock_allowlisted_inline(self):
-        self.tree.write("src/node/ok.cc",
-                        "long t = time(nullptr);  // msn-lint: allow(determinism/wall-clock)\n")
-        self.assertEqual(run_lint(self.tree.root, with_retired=True), [])
-
-    def test_identifier_suffix_time_not_flagged(self):
-        self.tree.write("src/node/ok.cc", "set_bring_up_time(d); auto x = bring_up_time();\n")
-        self.assertEqual(run_lint(self.tree.root, with_retired=True), [])
-
-    def test_retired_rules_skipped_by_default(self):
-        # msn_analyze owns the determinism rules now; the default lint run
-        # must not double-report them.
+    def test_determinism_rules_left_to_msn_analyze(self):
+        # msn_analyze owns the determinism rules (tests/msn_analyze_test.py);
+        # msn_lint must not double-report them.
         self.tree.write("src/node/bad.cc",
                         "long t = time(nullptr);\n"
                         "int a = std::rand();\n")
         self.assertEqual(run_lint(self.tree.root), [])
-
-    # --- determinism/ambient-rng (retired; fallback behind --with-retired) --
-
-    def test_std_rand_and_random_device_flagged(self):
-        self.tree.write("src/link/bad.cc",
-                        "int a = std::rand();\n"
-                        "std::random_device rd;\n"
-                        "std::mt19937 gen(42);\n")
-        self.assertEqual(rules_of(run_lint(self.tree.root, with_retired=True)),
-                         ["determinism/ambient-rng"] * 3)
-
-    def test_msn_rng_not_flagged(self):
-        self.tree.write("src/link/ok.cc",
-                        '#include "src/util/rng.h"\n'
-                        "double d = rng_.UniformDouble();\n")
-        self.assertEqual(run_lint(self.tree.root, with_retired=True), [])
-
-    def test_rng_allow_comment_on_previous_line(self):
-        self.tree.write("src/link/ok.cc",
-                        "// msn-lint: allow(determinism/ambient-rng)\n"
-                        "std::mt19937 gen(seed);\n")
-        self.assertEqual(run_lint(self.tree.root, with_retired=True), [])
 
     # --- layering/upward-include --------------------------------------------
 
@@ -283,40 +234,37 @@ class MsnLintTest(unittest.TestCase):
     # --- CLI ----------------------------------------------------------------
 
     def test_cli_exit_codes_and_output(self):
-        self.tree.write("src/node/bad.cc", "long t = time(nullptr);\n")
+        self.tree.write("src/net/bad.cc", '#include "src/mip/home_agent.h"\n')
         tool = REPO_ROOT / "tools" / "msn_lint.py"
         proc = subprocess.run(
-            [sys.executable, str(tool), "--root", str(self.tree.root),
-             "--with-retired", "src"],
-            capture_output=True, text=True)
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("[determinism/wall-clock]", proc.stdout)
-
-        # Without --with-retired the same fixture is clean: the determinism
-        # rules now live in msn_analyze.
-        default = subprocess.run(
             [sys.executable, str(tool), "--root", str(self.tree.root), "src"],
             capture_output=True, text=True)
-        self.assertEqual(default.returncode, 0)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("[layering/upward-include]", proc.stdout)
 
         single = subprocess.run(
             [sys.executable, str(tool), "--root", str(self.tree.root),
-             "--with-retired", "src/node/bad.cc"], capture_output=True, text=True)
+             "src/net/bad.cc"], capture_output=True, text=True)
         self.assertEqual(single.returncode, 1)
+
+        self.tree.write("src/net/bad.cc", '#include "src/util/rng.h"\n')
+        clean = subprocess.run(
+            [sys.executable, str(tool), "--root", str(self.tree.root), "src"],
+            capture_output=True, text=True)
+        self.assertEqual(clean.returncode, 0)
 
         missing = subprocess.run(
             [sys.executable, str(tool), "--root", str(self.tree.root), "nope/"],
             capture_output=True, text=True)
         self.assertEqual(missing.returncode, 2)
 
-    def test_list_rules_marks_retired(self):
+    def test_list_rules_prints_catalog(self):
         tool = REPO_ROOT / "tools" / "msn_lint.py"
         proc = subprocess.run([sys.executable, str(tool), "--list-rules"],
                               capture_output=True, text=True)
         self.assertEqual(proc.returncode, 0)
-        for rule in msn_lint.RETIRED_RULES:
-            line = next(l for l in proc.stdout.splitlines() if l.startswith(rule))
-            self.assertIn("retired -> msn_analyze", line)
+        listed = [line.split()[0] for line in proc.stdout.splitlines()]
+        self.assertEqual(listed, sorted(msn_lint.RULES))
 
     # --- docstring DAG stays in sync with the table --------------------------
 
@@ -340,9 +288,8 @@ class MsnLintTest(unittest.TestCase):
                       "update the layering/upward-include description")
 
     def test_repo_src_is_clean(self):
-        # The real tree must stay lint-clean (retired fallback rules
-        # included); this is the same gate CI runs, plus some.
-        self.assertEqual(run_lint(REPO_ROOT, ["src"], with_retired=True), [])
+        # The real tree must stay lint-clean; this is the same gate CI runs.
+        self.assertEqual(run_lint(REPO_ROOT, ["src"]), [])
 
 
 if __name__ == "__main__":

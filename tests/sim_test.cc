@@ -166,8 +166,8 @@ TEST(EventQueueTest, NextTimeSeesLiveLaneEvent) {
 // Burst-stress: drive the lane+heap queue and a naive reference queue with an
 // identical random schedule/cancel/burst workload and require identical fire
 // orders. Callbacks re-schedule at the draining timestamp (lane traffic, like
-// a device draining a burst) and at future times (heap traffic), and cancel
-// random pending events — the full mix the datapath's burst dequeue produces.
+// zero-delay pipeline stages and zero-serialization transmits) and at future
+// times (heap traffic), and cancel random pending events.
 TEST(EventQueueTest, BurstStressMatchesReferenceQueue) {
   for (const uint64_t seed : {1ull, 7ull, 1996ull}) {
     // Reference: (when, seq) pairs popped by scanning for the minimum.

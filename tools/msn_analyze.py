@@ -137,6 +137,29 @@ FALLIBLE_NAME_RE = re.compile(
 
 RESULT_TYPE_SUFFIXES = ("Result", "Status", "Verdict")
 
+# Lexical-fallback spellings of the two determinism rules: textual matches on
+# comment- and string-stripped source, blind to aliases and typedefs.
+WALL_CLOCK_RE = re.compile(
+    r"""
+    std::chrono::(?:system_clock|steady_clock|high_resolution_clock)
+    | \b(?:time|gettimeofday|clock_gettime|timespec_get)\s*\(
+    | \bclock\s*\(\s*\)
+    | \b(?:localtime|gmtime|mktime|strftime)\s*\(
+    """,
+    re.VERBOSE,
+)
+
+AMBIENT_RNG_RE = re.compile(
+    r"""
+    \bstd::rand\b
+    | \bs?rand\s*\(
+    | \brandom_device\b
+    | \bstd::(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine
+              |ranlux(?:24|48)(?:_base)?|knuth_b)\b
+    """,
+    re.VERBOSE,
+)
+
 # Canonical spellings of raw byte views (uint8_t canonicalizes to
 # unsigned char; std::byte stays std::byte).
 BYTE_POINTER_RE = re.compile(
@@ -556,21 +579,18 @@ class LexicalAnalyzer:
             texts[f] = code
             for m in UNORDERED_DECL_RE.finditer(code):
                 unordered_names.add(m.group(1))
-        # Import msn_lint lazily for its battle-tested determinism regexes.
-        sys.path.insert(0, str(Path(__file__).resolve().parent))
-        import msn_lint
         for f, code in texts.items():
             if not self.reporter.in_scope(f):
                 continue
             lines = code.splitlines()
             self._check_unordered(f, code, unordered_names)
             for lineno, line in enumerate(lines, start=1):
-                if m := msn_lint.WALL_CLOCK_RE.search(line):
+                if m := WALL_CLOCK_RE.search(line):
                     self.reporter.report(
                         f, lineno, "determinism/wall-clock",
                         f"'{m.group(0).strip()}' bypasses the simulator clock "
                         "(lexical fallback); use msn::Simulator::Now()")
-                if m := msn_lint.AMBIENT_RNG_RE.search(line):
+                if m := AMBIENT_RNG_RE.search(line):
                     self.reporter.report(
                         f, lineno, "determinism/ambient-rng",
                         f"'{m.group(0).strip()}' is not seed-reproducible "

@@ -26,20 +26,10 @@ see:
                             buffer; intentional ownership sinks carry an
                             inline allow stating so.
 
-Retired rules (owned by tools/msn_analyze.py, kept here as a fallback)
-
-  determinism/wall-clock    No wall-clock or OS time source in src/ — all time
-                            flows from the simulator clock (src/sim/time.h),
-                            which is what makes same-seed runs byte-identical.
-  determinism/ambient-rng   No std::rand / std::random_device / <random>
-                            engines in src/ — all randomness flows from the
-                            seeded msn::Rng (src/util/rng.h).
-
-  These two moved to msn_analyze's AST backend, which resolves the actual
-  callee and so also catches aliases, typedefs, and using-declarations the
-  regexes here cannot see. They no longer run by default; `--with-retired`
-  re-enables the regex versions as a degraded fallback (msn_analyze's own
-  lexical fallback reuses these exact regexes when libclang is absent).
+The determinism rules (no wall-clock time source, no ambient RNG in src/)
+are owned by tools/msn_analyze.py, whose AST backend resolves the actual
+callee through aliases, typedefs and using-declarations, and whose lexical
+fallback covers them where libclang is absent.
 
 Suppressing a finding
   Inline: append `// msn-lint: allow(<rule-id>)` to the offending line (or
@@ -64,19 +54,12 @@ from pathlib import Path
 # --- Rule catalog -----------------------------------------------------------
 
 RULES = {
-    "determinism/wall-clock": "wall-clock/OS time source used instead of the simulator clock",
-    "determinism/ambient-rng": "ambient RNG used instead of the seeded msn::Rng",
     "layering/upward-include": "include does not follow the layer DAG",
     "header/guard": "missing or misnamed include guard",
     "header/using-namespace": "`using namespace` in a header",
     "telemetry/metric-name": "metric name is not a lowercase <subsystem>.<noun> dot-path",
     "perf/frame-by-value": "EthernetFrame/Packet parameter taken by value",
 }
-
-# Rules that migrated to tools/msn_analyze.py's AST backend (which resolves
-# real callees through aliases/typedefs). Skipped by default; --with-retired
-# runs the regex versions here as a degraded fallback.
-RETIRED_RULES = {"determinism/wall-clock", "determinism/ambient-rng"}
 
 # Human-readable rendering of LAYER_RANK, used in the docstring and the
 # layering error message. tests/msn_lint_test.py asserts it matches the table.
@@ -110,27 +93,6 @@ FILE_ALLOWLIST: set[tuple[str, str]] = set()
 
 ALLOW_RE = re.compile(r"//\s*msn-lint:\s*allow\(([^)]+)\)")
 
-WALL_CLOCK_RE = re.compile(
-    r"""
-    std::chrono::(?:system_clock|steady_clock|high_resolution_clock)
-    | \b(?:time|gettimeofday|clock_gettime|timespec_get)\s*\(
-    | \bclock\s*\(\s*\)
-    | \b(?:localtime|gmtime|mktime|strftime)\s*\(
-    """,
-    re.VERBOSE,
-)
-
-AMBIENT_RNG_RE = re.compile(
-    r"""
-    \bstd::rand\b
-    | \bs?rand\s*\(
-    | \brandom_device\b
-    | \bstd::(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine
-              |ranlux(?:24|48)(?:_base)?|knuth_b)\b
-    """,
-    re.VERBOSE,
-)
-
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"src/([a-z0-9_]+)/')
 USING_NAMESPACE_RE = re.compile(r"\busing\s+namespace\b")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
@@ -146,7 +108,7 @@ METRIC_PIECE_RE = re.compile(r"^[a-z0-9_.]*$")
 # subsystem starts exporting metrics (the check fuzzer's oracles are the most
 # recent addition).
 METRIC_NAMESPACES = {
-    "burst", "check", "dev", "fault", "flow_cache", "ha", "ip", "link", "mh",
+    "check", "dev", "fault", "flow_cache", "ha", "ip", "link", "mh",
     "mobility", "packet", "pool", "repl", "tcp",
 }
 
@@ -283,9 +245,8 @@ def guard_name_for(rel_path: Path) -> str:
 
 
 class Linter:
-    def __init__(self, root: Path, with_retired: bool = False):
+    def __init__(self, root: Path):
         self.root = root
-        self.with_retired = with_retired
         self.violations: list[Violation] = []
 
     def _report(self, path: Path, rel: Path, line: int, rule: str, message: str,
@@ -308,8 +269,6 @@ class Linter:
         layer = rel.parts[1] if in_src and len(rel.parts) > 2 else None
 
         if in_src:
-            if self.with_retired:
-                self._check_determinism(path, rel, code, allows)
             self._check_frame_by_value(path, rel, code, allows)
         if layer is not None:
             # Raw text: include paths live inside string literals, which the
@@ -319,19 +278,6 @@ class Linter:
             self._check_header_guard(path, rel, text, code, allows)
             self._check_using_namespace(path, rel, code, allows)
         self._check_metric_names(path, rel, text, allows)
-
-    def _check_determinism(self, path, rel, code, allows):
-        for lineno, line in enumerate(code.splitlines(), start=1):
-            if m := WALL_CLOCK_RE.search(line):
-                self._report(path, rel, lineno, "determinism/wall-clock",
-                             f"'{m.group(0).strip()}' bypasses the simulator clock; "
-                             "use msn::Simulator::Now() / src/sim/time.h",
-                             allows)
-            if m := AMBIENT_RNG_RE.search(line):
-                self._report(path, rel, lineno, "determinism/ambient-rng",
-                             f"'{m.group(0).strip()}' is not seed-reproducible; "
-                             "draw from the owning component's msn::Rng",
-                             allows)
 
     def _check_frame_by_value(self, path, rel, code, allows):
         for m in FRAME_BY_VALUE_RE.finditer(code):
@@ -464,9 +410,8 @@ def collect_files(root: Path, paths: list[str]) -> list[Path]:
     return files
 
 
-def lint_paths(root: Path, paths: list[str],
-               with_retired: bool = False) -> list[Violation]:
-    linter = Linter(root, with_retired=with_retired)
+def lint_paths(root: Path, paths: list[str]) -> list[Violation]:
+    linter = Linter(root)
     for f in collect_files(root, paths):
         linter.lint_file(f)
     return linter.violations
@@ -480,21 +425,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
                         help="repository root (for layer/guard path derivation)")
     parser.add_argument("--list-rules", action="store_true", help="print the rule catalog")
-    parser.add_argument("--with-retired", action="store_true",
-                        help="also run rules retired to tools/msn_analyze.py "
-                             "(degraded regex fallback)")
     args = parser.parse_args(argv)
 
     if args.list_rules:
         for rule, desc in sorted(RULES.items()):
-            retired = "  [retired -> msn_analyze; --with-retired runs fallback]" \
-                if rule in RETIRED_RULES else ""
-            print(f"{rule:26} {desc}{retired}")
+            print(f"{rule:26} {desc}")
         return 0
 
     try:
-        violations = lint_paths(Path(args.root), args.paths or ["src"],
-                                with_retired=args.with_retired)
+        violations = lint_paths(Path(args.root), args.paths or ["src"])
     except FileNotFoundError as e:
         print(f"msn_lint: no such path: {e}", file=sys.stderr)
         return 2
