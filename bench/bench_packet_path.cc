@@ -16,7 +16,7 @@
 // guards the simulation core; benches measure real CPU cost by design).
 // Deterministic row values (hops forwarded, delivered, events executed,
 // heap/lane pushes, packet copies and allocations, flow-cache hits and
-// misses) are byte-identical across runs for a fixed seed and are what CI
+// misses, LPM zone probes) are byte-identical across runs for a fixed seed and are what CI
 // gates, exactly (tools/compare_bench_json.py). The wall-clock figures (pps,
 // ns/hop, event pops/sec) depend on the host: they are printed and carried
 // as float row values, never summarized against a baseline.
@@ -61,6 +61,8 @@ struct ChainResult {
   uint64_t flow_hits = 0;
   uint64_t flow_misses = 0;
   uint64_t flow_invalidations = 0;
+  // Routing-table prefix-length zones probed, across every stack.
+  uint64_t lpm_probes = 0;
   // Event-engine immediate-lane vs heap pushes.
   uint64_t lane_scheduled = 0;
   uint64_t heap_scheduled = 0;
@@ -155,17 +157,18 @@ ChainResult RunForwardingChain(int hops, int packets, size_t payload_bytes, uint
   result.packet_copies = after.copies - before.copies;
   result.packet_cow_breaks = after.cow_breaks - before.cow_breaks;
   result.packet_allocations = after.allocations - before.allocations;
-  const auto add_flow = [&result](Node& node) {
+  const auto add_node_counts = [&result](Node& node) {
     const FlowCache& cache = node.stack().flow_cache();
     result.flow_hits += cache.hits();
     result.flow_misses += cache.misses();
     result.flow_invalidations += cache.invalidations();
+    result.lpm_probes += node.stack().routes().probes();
   };
-  add_flow(source);
+  add_node_counts(source);
   for (const auto& router : routers) {
-    add_flow(*router);
+    add_node_counts(*router);
   }
-  add_flow(sink);
+  add_node_counts(sink);
   result.lane_scheduled = sim.queue_lane_stats().lane_scheduled;
   result.heap_scheduled = sim.queue_lane_stats().heap_scheduled;
   result.wall_sec = WallSeconds(start, end);
@@ -257,6 +260,7 @@ int Main() {
                    {"flow_cache_hits", r.flow_hits},
                    {"flow_cache_misses", r.flow_misses},
                    {"flow_cache_invalidations", r.flow_invalidations},
+                   {"lpm_probes", r.lpm_probes},
                    {"lane_scheduled", r.lane_scheduled},
                    {"heap_scheduled", r.heap_scheduled},
                    {"wall_ms", r.wall_sec * 1e3},

@@ -1,12 +1,11 @@
 // Per-node route-decision cache in front of IpStack::RouteLookup
 // (DESIGN.md §18).
 //
-// The paper's enhanced ip_rt_route() runs two longest-prefix matches per
-// packet (Mobile Policy Table, then the routing table); at 2M+ pps those
-// linear scans dominate the hop cost. The flow cache memoizes the complete
-// decision — output device, canonical source, next hop, and the policy
-// counters the decision must bump per packet — keyed on (destination,
-// forwarding bit).
+// The paper's enhanced ip_rt_route() runs the mobility override and two
+// longest-prefix matches per packet (Mobile Policy Table, then the routing
+// table). The flow cache memoizes the complete decision — output device,
+// canonical source, next hop, and the policy counters the decision must bump
+// per packet — keyed on (destination, forwarding bit).
 //
 // Correctness rests on two rules, both enforced by the owning IpStack:
 //
@@ -26,9 +25,9 @@
 //      exemption branches on the hint (paper §3.3).
 //
 // tests/flow_cache_test.cc pins the invalidation contract per hook;
-// tests/datapath_diff_test.cc pins end-to-end traces recorded with the cache
-// both on and off, and the fuzzer's flow-cache-coherence oracle shadow-checks
-// every hit against RouteLookupUncached.
+// tests/datapath_diff_test.cc checks end-to-end frame traces against golden
+// digests, and the fuzzer's flow-cache-coherence oracle shadow-checks every
+// hit against RouteLookupUncached.
 #ifndef MSN_SRC_NODE_FLOW_CACHE_H_
 #define MSN_SRC_NODE_FLOW_CACHE_H_
 

@@ -4,12 +4,14 @@
 
 #include <algorithm>
 
+#include "src/link/link_device.h"
 #include "src/mip/ipip.h"
 #include "src/mip/messages.h"
 #include "src/mip/policy_table.h"
 #include "src/net/checksum.h"
 #include "src/net/headers.h"
 #include "src/node/routing_table.h"
+#include "src/sim/simulator.h"
 #include "src/topo/testbed.h"
 #include "src/tracing/probe.h"
 #include "src/util/rng.h"
@@ -144,45 +146,170 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HeaderProperty, ::testing::Values(11, 22, 33));
 
 class LpmProperty : public ::testing::TestWithParam<uint64_t> {};
 
+// RoutingTable's documented rule, by brute force over insertion order:
+// longest prefix, then lowest metric, then first inserted.
+const RouteEntry* ScanReference(const std::vector<RouteEntry>& entries, Ipv4Address dst) {
+  const RouteEntry* best = nullptr;
+  for (const RouteEntry& e : entries) {
+    if (!e.dest.Contains(dst)) {
+      continue;
+    }
+    if (best == nullptr || e.dest.prefix_len() > best->dest.prefix_len() ||
+        (e.dest.prefix_len() == best->dest.prefix_len() && e.metric < best->metric)) {
+      best = &e;
+    }
+  }
+  return best;
+}
+
+// Every entry the tests below add carries a unique gateway, so comparing
+// gateways checks that Lookup picked the very entry the scan picks.
+::testing::AssertionResult SameRouteAsScan(const RoutingTable& table,
+                                           const std::vector<RouteEntry>& reference,
+                                           Ipv4Address dst) {
+  const RouteEntry* want = ScanReference(reference, dst);
+  const std::optional<RouteEntry> got = table.Lookup(dst);
+  if (want == nullptr && !got.has_value()) {
+    return ::testing::AssertionSuccess();
+  }
+  if (want != nullptr && got.has_value() && got->gateway == want->gateway) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << dst.ToString() << ": index gave " << (got ? got->ToString() : "no route")
+         << ", scan gave " << (want != nullptr ? want->ToString() : "no route");
+}
+
+// A destination inside `dest` (random host bits) or, half the time, anywhere.
+Ipv4Address PickDestination(Rng& rng, const Subnet& dest) {
+  const auto random = static_cast<uint32_t>(rng.NextU64());
+  if (rng.Bernoulli(0.5)) {
+    return Ipv4Address(random);
+  }
+  return Ipv4Address(dest.base().value() | (random & ~dest.mask().mask_value()));
+}
+
 TEST_P(LpmProperty, MatchesBruteForceReference) {
   Rng rng(GetParam());
   RoutingTable table;
-  struct Ref {
-    Subnet subnet;
-    int metric;
-    size_t order;
-  };
-  std::vector<Ref> refs;
-  for (size_t i = 0; i < 40; ++i) {
+  std::vector<RouteEntry> reference;
+  for (uint32_t i = 0; i < 40; ++i) {
     const int prefix = static_cast<int>(rng.UniformInt(uint64_t{0}, uint64_t{32}));
     const Subnet subnet(Ipv4Address(static_cast<uint32_t>(rng.NextU64())),
                         SubnetMask(prefix));
     const int metric = static_cast<int>(rng.UniformInt(uint64_t{0}, uint64_t{3}));
-    table.Add(RouteEntry{subnet, Ipv4Address::Any(), nullptr, Ipv4Address::Any(), metric});
-    refs.push_back(Ref{subnet, metric, i});
+    reference.push_back(
+        RouteEntry{subnet, Ipv4Address(i + 1), nullptr, Ipv4Address::Any(), metric});
+    table.Add(reference.back());
   }
-
   for (int probe = 0; probe < 500; ++probe) {
     const Ipv4Address dst(static_cast<uint32_t>(rng.NextU64()));
-    // Brute-force reference: longest prefix, then lowest metric, then first
-    // inserted.
-    const Ref* best = nullptr;
-    for (const Ref& ref : refs) {
-      if (!ref.subnet.Contains(dst)) {
-        continue;
-      }
-      if (best == nullptr || ref.subnet.prefix_len() > best->subnet.prefix_len() ||
-          (ref.subnet.prefix_len() == best->subnet.prefix_len() && ref.metric < best->metric)) {
-        best = &ref;
-      }
+    EXPECT_TRUE(SameRouteAsScan(table, reference, dst));
+  }
+}
+
+TEST_P(LpmProperty, LargeTableMatchesScanAtEveryLength) {
+  Rng rng(GetParam() + 31);
+  RoutingTable table;
+  std::vector<RouteEntry> reference;
+  uint32_t next_id = 1;
+  const auto add = [&](const Subnet& dest, int metric) {
+    const RouteEntry entry{dest, Ipv4Address(next_id++), nullptr, Ipv4Address::Any(), metric};
+    table.Add(entry);
+    reference.push_back(entry);
+  };
+  // Bases keep the top bit clear, so until the default routes arrive every
+  // destination in 128.0.0.0/1 misses. Lengths 1-32 each appear at least
+  // once; a quarter of the adds repeat an earlier destination with a metric
+  // of 0-2, which makes equal and unequal ties.
+  for (int i = 0; i < 2400; ++i) {
+    const int metric = static_cast<int>(rng.UniformInt(uint64_t{0}, uint64_t{2}));
+    if (i >= 32 && rng.Bernoulli(0.25)) {
+      add(reference[rng.UniformInt(uint64_t{0}, reference.size() - 1)].dest, metric);
+      continue;
     }
-    auto got = table.Lookup(dst);
-    if (best == nullptr) {
-      EXPECT_FALSE(got.has_value());
+    const int len = i < 32 ? i + 1 : static_cast<int>(rng.UniformInt(uint64_t{1}, uint64_t{32}));
+    const Ipv4Address base(static_cast<uint32_t>(rng.NextU64()) & 0x7fffffffu);
+    add(Subnet(base, SubnetMask(len)), metric);
+  }
+  const auto check_and_count_misses = [&] {
+    int misses = 0;
+    for (int probe = 0; probe < 4000; ++probe) {
+      const Ipv4Address dst =
+          PickDestination(rng, reference[rng.UniformInt(uint64_t{0}, reference.size() - 1)].dest);
+      misses += ScanReference(reference, dst) == nullptr ? 1 : 0;
+      EXPECT_TRUE(SameRouteAsScan(table, reference, dst));
+    }
+    return misses;
+  };
+  EXPECT_GT(check_and_count_misses(), 0);
+
+  // /0 completes lengths 0-32; its metric-1 pair ties on metric.
+  add(Subnet::Default(), 2);
+  add(Subnet::Default(), 1);
+  add(Subnet::Default(), 1);
+  EXPECT_EQ(check_and_count_misses(), 0);
+  EXPECT_EQ(table.Lookup(Ipv4Address(0xffffffffu))->gateway, Ipv4Address(next_id - 2));
+}
+
+// Mutations interleaved with lookups: each mutator only marks the index
+// stale, so a lookup after any of them must never see a removed entry or
+// miss a new one.
+TEST_P(LpmProperty, InterleavedChurnMatchesScan) {
+  Rng rng(GetParam() + 57);
+  Simulator sim(1);
+  EthernetDevice eth0(sim, "eth0", MacAddress::FromId(1));
+  EthernetDevice eth1(sim, "eth1", MacAddress::FromId(2));
+  NetDevice* const devices[] = {&eth0, &eth1};
+  // A small pool of destinations, every length 0-32 among them, so removals
+  // find targets and re-adds create ties.
+  std::vector<Subnet> pool;
+  for (int i = 0; i < 64; ++i) {
+    const int len = i <= 32 ? i : static_cast<int>(rng.UniformInt(uint64_t{8}, uint64_t{32}));
+    pool.emplace_back(Ipv4Address(static_cast<uint32_t>(rng.NextU64())), SubnetMask(len));
+  }
+  const auto pick = [&rng](const auto& v) -> const auto& {
+    return v[rng.UniformInt(uint64_t{0}, uint64_t{std::size(v) - 1})];
+  };
+
+  RoutingTable table;
+  std::vector<RouteEntry> reference;
+  uint32_t next_id = 1;
+  const auto remove_from_reference = [&reference](const auto& pred) {
+    const size_t before = reference.size();
+    std::erase_if(reference, pred);
+    return before - reference.size();
+  };
+  for (int op = 0; op < 800; ++op) {
+    const uint64_t kind = rng.UniformInt(uint64_t{0}, uint64_t{99});
+    if (kind < 55) {
+      const RouteEntry entry{pick(pool), Ipv4Address(next_id++), pick(devices), Ipv4Address::Any(),
+                             static_cast<int>(rng.UniformInt(uint64_t{0}, uint64_t{2}))};
+      table.Add(entry);
+      reference.push_back(entry);
+    } else if (kind < 75) {
+      const Subnet dest = pick(pool);
+      NetDevice* device = rng.Bernoulli(0.5) ? pick(devices) : nullptr;
+      const auto pred = [&](const RouteEntry& e) {
+        return e.dest == dest && (device == nullptr || e.device == device);
+      };
+      EXPECT_EQ(table.Remove(dest, device), remove_from_reference(pred));
+    } else if (kind < 87) {
+      const int metric = static_cast<int>(rng.UniformInt(uint64_t{0}, uint64_t{2}));
+      const auto pred = [metric](const RouteEntry& e) { return e.metric == metric; };
+      EXPECT_EQ(table.RemoveWhere(pred), remove_from_reference(pred));
+    } else if (kind < 98) {
+      NetDevice* device = pick(devices);
+      const auto pred = [device](const RouteEntry& e) { return e.device == device; };
+      EXPECT_EQ(table.RemoveForDevice(device), remove_from_reference(pred));
     } else {
-      ASSERT_TRUE(got.has_value());
-      EXPECT_EQ(got->dest, best->subnet);
-      EXPECT_EQ(got->metric, best->metric);
+      table.Clear();
+      reference.clear();
+    }
+    ASSERT_EQ(table.size(), reference.size());
+    for (int probe = 0; probe < 16; ++probe) {
+      EXPECT_TRUE(SameRouteAsScan(table, reference, PickDestination(rng, pick(pool))))
+          << "after op " << op;
     }
   }
 }
