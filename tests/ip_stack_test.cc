@@ -185,6 +185,62 @@ TEST_F(StackFixture, RouteOverrideRedirectsAndRewritesSource) {
   EXPECT_EQ(delivered, 1);
 }
 
+TEST_F(StackFixture, BoundSourceQueryKeepsBoundSourceThroughOverride) {
+  // Like the home agent's override: a fixed source unless the sender bound
+  // one, in which case the bound source stands.
+  router_.stack().SetRouteLookupOverride(
+      [&](const RouteQuery& query) -> std::optional<RouteDecision> {
+        RouteDecision d;
+        d.device = r1_;
+        d.src = query.src_hint.IsAny() ? Ipv4Address(10, 0, 1, 1) : query.src_hint;
+        d.next_hop = Ipv4Address::Any();
+        return d;
+      });
+  const Ipv4Address dst(10, 0, 1, 2);
+  auto unbound = router_.stack().RouteLookup({dst, Ipv4Address::Any(), /*forwarding=*/true});
+  ASSERT_TRUE(unbound.has_value());
+  EXPECT_EQ(unbound->src, Ipv4Address(10, 0, 1, 1));
+  const Ipv4Address bound_src(10, 0, 0, 77);
+  auto bound = router_.stack().RouteLookup({dst, bound_src, /*forwarding=*/true});
+  ASSERT_TRUE(bound.has_value());
+  EXPECT_EQ(bound->src, bound_src);
+  EXPECT_EQ(bound->device, r1_);
+}
+
+TEST_F(StackFixture, ClearingOverrideChangesNextLookup) {
+  const RouteQuery q{Ipv4Address(10, 0, 1, 2), Ipv4Address::Any(), /*forwarding=*/true};
+  router_.stack().SetRouteLookupOverride(
+      [&](const RouteQuery&) -> std::optional<RouteDecision> {
+        RouteDecision d;
+        d.device = r0_;
+        d.src = Ipv4Address(10, 0, 0, 1);
+        return d;
+      });
+  auto overridden = router_.stack().RouteLookup(q);
+  ASSERT_TRUE(overridden.has_value());
+  EXPECT_EQ(overridden->device, r0_);
+  router_.stack().ClearRouteLookupOverride();
+  auto plain = router_.stack().RouteLookup(q);
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_EQ(plain->device, r1_);
+}
+
+TEST_F(StackFixture, RemovingInterfaceChangesNextLookup) {
+  const Ipv4Address dst(36, 8, 0, 9);
+  const RouteQuery q{dst, Ipv4Address::Any(), /*forwarding=*/true};
+  router_.AddDefaultRoute(Ipv4Address(10, 0, 0, 254), r0_);
+  router_.stack().routes().Add(RouteEntry{Subnet(dst, SubnetMask(32)),
+                                          Ipv4Address(10, 0, 1, 254), r1_,
+                                          Ipv4Address::Any(), 0});
+  auto via_host_route = router_.stack().RouteLookup(q);
+  ASSERT_TRUE(via_host_route.has_value());
+  EXPECT_EQ(via_host_route->device, r1_);
+  router_.stack().RemoveInterface(r1_);
+  auto via_default = router_.stack().RouteLookup(q);
+  ASSERT_TRUE(via_default.has_value());
+  EXPECT_EQ(via_default->device, r0_);
+}
+
 TEST_F(StackFixture, UnknownProtocolCounted) {
   a_.stack().SendDatagram(Ipv4Address::Any(), Ipv4Address(10, 0, 0, 2),
                           static_cast<IpProto>(200), {1});

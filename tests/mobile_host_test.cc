@@ -187,6 +187,77 @@ TEST_F(PolicyRoutingFixture, DirectPolicyUsesCareOfSource) {
   EXPECT_EQ(d->src, Ipv4Address(36, 8, 0, 50));
 }
 
+// --- Per-packet policy accounting ---------------------------------------------------
+// A lookup that sends a packet counts a hit on the matched MPT entry (and,
+// for kTriangle, a triangle-routed packet); an advisory lookup counts nothing.
+
+class PolicyCountingFixture : public PolicyRoutingFixture {
+ protected:
+  std::optional<RouteDecision> Send(Ipv4Address dst) {
+    return tb_->mh->stack().RouteLookup(RouteQuery{dst, Ipv4Address::Any(), false, false});
+  }
+  uint64_t HitsOn(const Subnet& dest) const {
+    for (const auto& e : tb_->mobile->policy_table().entries()) {
+      if (e.dest == dest) {
+        return e.hits;
+      }
+    }
+    ADD_FAILURE() << "no MPT entry for " << dest.ToString();
+    return 0;
+  }
+  uint64_t TriangleOut() const { return tb_->mobile->counters().packets_triangle_out; }
+};
+
+TEST_F(PolicyCountingFixture, TriangleLookupCountsHitAndPacket) {
+  const Subnet corr(tb_->ch_address(), SubnetMask(32));
+  tb_->mobile->policy_table().Set(corr, MobilePolicy::kTriangle);
+  const uint64_t triangle_before = TriangleOut();
+  for (int i = 0; i < 3; ++i) {
+    auto d = Send(tb_->ch_address());
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->device, tb_->mh_eth);
+  }
+  EXPECT_EQ(HitsOn(corr), 3u);
+  EXPECT_EQ(TriangleOut(), triangle_before + 3);
+}
+
+TEST_F(PolicyCountingFixture, TunnelLookupCountsHitButNoTrianglePacket) {
+  const Subnet corr(tb_->ch_address(), SubnetMask(32));
+  tb_->mobile->policy_table().Set(corr, MobilePolicy::kTunnelHome);
+  const uint64_t triangle_before = TriangleOut();
+  auto d = Send(tb_->ch_address());
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->device, tb_->mobile->vif());
+  EXPECT_EQ(HitsOn(corr), 1u);
+  EXPECT_EQ(TriangleOut(), triangle_before);
+}
+
+TEST_F(PolicyCountingFixture, AdvisoryLookupCountsNothing) {
+  const Subnet corr(tb_->ch_address(), SubnetMask(32));
+  tb_->mobile->policy_table().Set(corr, MobilePolicy::kTriangle);
+  const uint64_t triangle_before = TriangleOut();
+  auto d = Query(tb_->ch_address());  // Advisory.
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->device, tb_->mh_eth);
+  EXPECT_EQ(HitsOn(corr), 0u);
+  EXPECT_EQ(TriangleOut(), triangle_before);
+}
+
+TEST_F(PolicyCountingFixture, DirectEntryCountsHitButTableAnswers) {
+  const Subnet corr(tb_->ch_address(), SubnetMask(32));
+  tb_->mobile->policy_table().Set(corr, MobilePolicy::kDirect);
+  auto d = Send(tb_->ch_address());
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->device, tb_->mh_eth);
+  EXPECT_EQ(d->src, Ipv4Address(36, 8, 0, 50));
+  EXPECT_EQ(HitsOn(corr), 1u);
+
+  // The hit counts even when the table then has no route.
+  tb_->mh->stack().routes().Clear();
+  EXPECT_FALSE(Send(tb_->ch_address()).has_value());
+  EXPECT_EQ(HitsOn(corr), 2u);
+}
+
 TEST_F(PolicyRoutingFixture, ForwardingQueriesBypassPolicy) {
   auto d = Query(tb_->ch_address(), Ipv4Address::Any(), /*forwarding=*/true);
   // The MH is not a router; the normal table answers (default route).
