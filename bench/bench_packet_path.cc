@@ -15,8 +15,8 @@
 // Wall-clock timing lives here, not in src/ (the determinism lint only
 // guards the simulation core; benches measure real CPU cost by design).
 // Deterministic row values (hops forwarded, delivered, events executed,
-// heap/lane pushes, packet copies and allocations, flow-cache hits and
-// misses, LPM zone probes) are byte-identical across runs for a fixed seed and are what CI
+// heap/lane pushes, packet copies and allocations, LPM zone probes) are
+// byte-identical across runs for a fixed seed and are what CI
 // gates, exactly (tools/compare_bench_json.py). The wall-clock figures (pps,
 // ns/hop, event pops/sec) depend on the host: they are printed and carried
 // as float row values, never summarized against a baseline.
@@ -30,7 +30,6 @@
 #include "src/link/link_device.h"
 #include "src/net/packet.h"
 #include "src/net/packet_arena.h"
-#include "src/node/flow_cache.h"
 #include "src/node/node.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/export.h"
@@ -57,10 +56,6 @@ struct ChainResult {
   uint64_t packet_copies = 0;      // Deep copies made during the run.
   uint64_t packet_cow_breaks = 0;  // Subset forced by shared storage.
   uint64_t packet_allocations = 0;
-  // Flow-cache totals across every stack in the chain.
-  uint64_t flow_hits = 0;
-  uint64_t flow_misses = 0;
-  uint64_t flow_invalidations = 0;
   // Routing-table prefix-length zones probed, across every stack.
   uint64_t lpm_probes = 0;
   // Event-engine immediate-lane vs heap pushes.
@@ -157,18 +152,10 @@ ChainResult RunForwardingChain(int hops, int packets, size_t payload_bytes, uint
   result.packet_copies = after.copies - before.copies;
   result.packet_cow_breaks = after.cow_breaks - before.cow_breaks;
   result.packet_allocations = after.allocations - before.allocations;
-  const auto add_node_counts = [&result](Node& node) {
-    const FlowCache& cache = node.stack().flow_cache();
-    result.flow_hits += cache.hits();
-    result.flow_misses += cache.misses();
-    result.flow_invalidations += cache.invalidations();
-    result.lpm_probes += node.stack().routes().probes();
-  };
-  add_node_counts(source);
+  result.lpm_probes = source.stack().routes().probes() + sink.stack().routes().probes();
   for (const auto& router : routers) {
-    add_node_counts(*router);
+    result.lpm_probes += router->stack().routes().probes();
   }
-  add_node_counts(sink);
   result.lane_scheduled = sim.queue_lane_stats().lane_scheduled;
   result.heap_scheduled = sim.queue_lane_stats().heap_scheduled;
   result.wall_sec = WallSeconds(start, end);
@@ -257,9 +244,6 @@ int Main() {
                    {"packet_copies", r.packet_copies},
                    {"packet_cow_breaks", r.packet_cow_breaks},
                    {"packet_allocations", r.packet_allocations},
-                   {"flow_cache_hits", r.flow_hits},
-                   {"flow_cache_misses", r.flow_misses},
-                   {"flow_cache_invalidations", r.flow_invalidations},
                    {"lpm_probes", r.lpm_probes},
                    {"lane_scheduled", r.lane_scheduled},
                    {"heap_scheduled", r.heap_scheduled},

@@ -31,7 +31,6 @@
 
 namespace msn {
 
-class FlowCache;
 class NetDevice;
 class UdpSocket;
 
@@ -58,20 +57,6 @@ struct RouteDecision {
   // The IP the link layer should resolve: the gateway, or the destination
   // itself when on-link. Any() means "destination itself".
   Ipv4Address next_hop;
-
-  // Per-packet policy accounting, carried out of the override and bumped
-  // centrally by IpStack::RouteLookup for every non-advisory query this
-  // decision answers — fresh or replayed from the flow cache, so cached
-  // hits count exactly like uncached ones. Raw pointers are safe because
-  // every mutation of the tables they point into invalidates the cache
-  // before the pointee can move (DESIGN.md §18).
-  CounterRef* policy_counter = nullptr;  // e.g. mh.*.packets_triangle_out
-  uint64_t* policy_hits = nullptr;       // matched MPT entry's hit count
-
-  // Override partial answer: the policy accounting above applies, but the
-  // forwarding answer comes from the normal routing table (the MPT's
-  // kDirect local role). Never escapes RouteLookup.
-  bool defer_to_table = false;
 
   Ipv4Address EffectiveNextHop(Ipv4Address dst) const {
     return next_hop.IsAny() ? dst : next_hop;
@@ -174,31 +159,16 @@ class IpStack {
   ArpService& arp() { return *arp_; }
   ReassemblyService& reassembly() { return *reassembly_; }
 
-  void SetRouteLookupOverride(RouteLookupOverride fn) {
-    route_override_ = std::move(fn);
-    InvalidateFlowCache();
-  }
-  void ClearRouteLookupOverride() {
-    route_override_ = nullptr;
-    InvalidateFlowCache();
-  }
+  void SetRouteLookupOverride(RouteLookupOverride fn) { route_override_ = std::move(fn); }
+  void ClearRouteLookupOverride() { route_override_ = nullptr; }
 
-  // The paper's ip_rt_route(): override first, then the routing table —
-  // fronted by the per-node flow cache.
+  // The paper's ip_rt_route(): the override first, then the routing table.
   [[nodiscard]] std::optional<RouteDecision> RouteLookup(const RouteQuery& query);
 
-  // The uncached lookup the cache memoizes, exposed for the fuzzer's
-  // flow-cache-coherence oracle (shadow compare), the flow-cache tests and
-  // benchmarks that time a miss. Performs no per-packet counting and never
-  // touches the cache.
-  [[nodiscard]] std::optional<RouteDecision> RouteLookupUncached(const RouteQuery& query);
-
-  // Orphans every cached route decision (O(1) generation bump). Wired to
-  // every mutation a decision can depend on: route/MPT/interface changes,
-  // binding churn on the home agent, attachment changes on the mobile host,
-  // and override (de)installation.
-  void InvalidateFlowCache();
-  FlowCache& flow_cache() { return *flow_cache_; }
+  // Same as RouteLookup. Kept only because perfbench/ladders.cc calls it.
+  [[nodiscard]] std::optional<RouteDecision> RouteLookupUncached(const RouteQuery& query) {
+    return RouteLookup(query);
+  }
 
   // --- Send path -------------------------------------------------------------
 
@@ -311,14 +281,6 @@ class IpStack {
   InterfaceEntry* FindInterface(NetDevice* device);
   const InterfaceEntry* FindInterface(NetDevice* device) const;
 
-  // The real lookup behind the flow cache. Out-params receive the policy
-  // counters the answer must bump per packet — also set when the answer is
-  // "no route" but the override still matched an MPT entry (kDirect with no
-  // table route), which a nullopt return could not carry.
-  [[nodiscard]] std::optional<RouteDecision> LookupUncached(const RouteQuery& query,
-                                                            CounterRef*& policy_counter,
-                                                            uint64_t*& policy_hits);
-
   Duration DrawDelay(Duration mean, Duration jitter);
   // Kernel stages are FIFO pipelines: each packet occupies the stage for its
   // drawn cost and packets never overtake each other. Returns the absolute
@@ -360,7 +322,6 @@ class IpStack {
   Simulator& sim_;
   std::string node_name_;
   std::vector<InterfaceEntry> interfaces_;
-  std::unique_ptr<FlowCache> flow_cache_;
   RoutingTable routes_;
   std::unique_ptr<ArpService> arp_;
   std::unique_ptr<ReassemblyService> reassembly_;

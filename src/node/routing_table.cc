@@ -29,7 +29,7 @@ std::string RouteEntry::ToString() const {
 
 void RoutingTable::Add(const RouteEntry& entry) {
   entries_.push_back(entry);
-  NotifyChanged();
+  MarkIndexStale();
 }
 
 size_t RoutingTable::Remove(const Subnet& dest, NetDevice* device) {
@@ -43,7 +43,7 @@ size_t RoutingTable::RemoveWhere(const std::function<bool(const RouteEntry&)>& p
   entries_.erase(std::remove_if(entries_.begin(), entries_.end(), pred), entries_.end());
   const size_t removed = before - entries_.size();
   if (removed > 0) {
-    NotifyChanged();
+    MarkIndexStale();
   }
   return removed;
 }
@@ -56,7 +56,7 @@ void RoutingTable::Clear() {
   const bool changed = !entries_.empty();
   entries_.clear();
   if (changed) {
-    NotifyChanged();
+    MarkIndexStale();
   }
 }
 

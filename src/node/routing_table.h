@@ -69,14 +69,6 @@ class RoutingTable {
   const std::vector<RouteEntry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }
 
-  // Fired after every mutation that changed the table (Add always; the
-  // Remove variants and Clear only when entries actually went away). The
-  // owning IpStack uses it to invalidate the flow cache, so every route
-  // install — including ICMP-redirect host routes and interface
-  // configuration — orphans cached decisions without the mutator knowing
-  // about caching.
-  void SetChangeListener(std::function<void()> fn) { on_change_ = std::move(fn); }
-
   std::string ToString() const;
 
  private:
@@ -94,16 +86,11 @@ class RoutingTable {
   };
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
 
-  void NotifyChanged() {
-    lengths_by_octet_.clear();  // Marks the index stale.
-    if (on_change_) {
-      on_change_();
-    }
-  }
+  // Called after every mutation that changed the table.
+  void MarkIndexStale() { lengths_by_octet_.clear(); }
   void RebuildIndex() const;
 
   std::vector<RouteEntry> entries_;
-  std::function<void()> on_change_;
 
   // The Lookup index, derived from entries_ and rebuilt on demand.
   // Bit L of lengths_by_octet_[o]: a route of length L overlaps o.0.0.0/8.

@@ -116,11 +116,6 @@ RunDigest RunAndDigest(const ScenarioSpec& spec) {
   };
   options.on_complete = [&digest](Testbed& tb) {
     for (const auto& [name, value] : tb.metrics.ScalarSnapshot()) {
-      // The flow cache's own hit/miss accounting is bookkeeping about how a
-      // decision was reached, not what the network did.
-      if (name.rfind("flow_cache.", 0) == 0) {
-        continue;
-      }
       char line[256];
       std::snprintf(line, sizeof(line), "%s=%.17g", name.c_str(), value);
       ++digest.metric_count;

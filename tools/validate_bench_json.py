@@ -22,7 +22,7 @@ METRIC_TYPES = {"counter", "gauge", "histogram"}
 # every exported metric name must start with ("check" covers the fuzzer's
 # oracle metrics).
 METRIC_NAMESPACES = {
-    "check", "dev", "fault", "flow_cache", "ha", "ip", "link", "mh",
+    "check", "dev", "fault", "ha", "ip", "link", "mh",
     "mobility", "packet", "pool", "repl", "tcp",
 }
 # Mirror of the sub-namespace registries in tools/msn_lint.py. Indexed
