@@ -114,27 +114,46 @@ const HomeAgent::Shard& HomeAgent::ShardOf(Ipv4Address home_address) const {
 size_t HomeAgent::binding_count() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.bindings.size();
+    total += shard.binding_by_home.size();
   }
   return total;
 }
 
 size_t HomeAgent::ShardBindingCount(size_t shard_index) const {
-  return shards_[shard_index].bindings.size();
+  return shards_[shard_index].binding_by_home.size();
 }
 
 size_t HomeAgent::ShardQueueDepth(size_t shard_index) const {
   return shards_[shard_index].queue.size();
 }
 
+namespace {
+
+// Keys of a hashed per-home table in ascending order, for traversals whose
+// order can reach behaviour or output.
+template <typename Table>
+std::vector<Ipv4Address> SortedKeys(const Table& table) {
+  std::vector<Ipv4Address> keys;
+  keys.reserve(table.size());
+  // msn-analyze: allow(determinism/unordered-iteration) — sorted below.
+  for (const auto& [key, value] : table) {
+    keys.push_back(key);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+}  // namespace
+
 std::string HomeAgent::ShardConsistencyError() const {
   for (size_t i = 0; i < shards_.size(); ++i) {
     const Shard& shard = shards_[i];
-    for (const auto& [home, binding] : shard.bindings) {
+    for (Ipv4Address home : SortedKeys(shard.binding_by_home)) {
       if (ShardIndexOf(home) != i) {
         return home.ToString() + " stored in shard " + std::to_string(i) +
                " but hashes to shard " + std::to_string(ShardIndexOf(home));
       }
+      const Binding& binding = shard.binding_by_home.at(home);
       if (binding.home_address != home) {
         return "binding keyed by " + home.ToString() + " names " +
                binding.home_address.ToString();
@@ -145,11 +164,12 @@ std::string HomeAgent::ShardConsistencyError() const {
              std::to_string(shard.queued_by_home.size()) + " entries for " +
              std::to_string(shard.queue.size()) + " queued requests";
     }
-    for (const auto& [home, slot] : shard.queued_by_home) {
+    for (Ipv4Address home : SortedKeys(shard.queued_by_home)) {
       if (ShardIndexOf(home) != i) {
         return home.ToString() + " queued in shard " + std::to_string(i) +
                " but hashes to shard " + std::to_string(ShardIndexOf(home));
       }
+      const PendingRequest* slot = shard.queued_by_home.at(home);
       if (slot == nullptr || slot->request.home_address != home) {
         return "queue index for " + home.ToString() + " points at a stale slot";
       }
@@ -162,7 +182,8 @@ std::vector<Ipv4Address> HomeAgent::SortedBoundHomes() const {
   std::vector<Ipv4Address> homes;
   homes.reserve(binding_count());
   for (const Shard& shard : shards_) {
-    for (const auto& [home, binding] : shard.bindings) {
+    // msn-analyze: allow(determinism/unordered-iteration) — sorted below.
+    for (const auto& [home, binding] : shard.binding_by_home) {
       homes.push_back(home);
     }
   }
@@ -218,13 +239,13 @@ HomeAgent::Counters HomeAgent::counters() const {
 
 bool HomeAgent::HasBinding(Ipv4Address home_address) const {
   const Shard& shard = ShardOf(home_address);
-  return shard.bindings.find(home_address) != shard.bindings.end();
+  return shard.binding_by_home.find(home_address) != shard.binding_by_home.end();
 }
 
 std::optional<HomeAgent::Binding> HomeAgent::GetBinding(Ipv4Address home_address) const {
   const Shard& shard = ShardOf(home_address);
-  auto it = shard.bindings.find(home_address);
-  if (it == shard.bindings.end()) {
+  auto it = shard.binding_by_home.find(home_address);
+  if (it == shard.binding_by_home.end()) {
     return std::nullopt;
   }
   return it->second;
@@ -238,8 +259,8 @@ std::optional<RouteDecision> HomeAgent::RouteOverride(const RouteQuery& query) {
     return std::nullopt;
   }
   const Shard& shard = ShardOf(query.dst);
-  auto it = shard.bindings.find(query.dst);
-  if (it == shard.bindings.end()) {
+  auto it = shard.binding_by_home.find(query.dst);
+  if (it == shard.binding_by_home.end()) {
     return std::nullopt;
   }
   RouteDecision decision;
@@ -251,8 +272,8 @@ std::optional<RouteDecision> HomeAgent::RouteOverride(const RouteQuery& query) {
 
 void HomeAgent::EncapsulateAndTunnel(const Ipv4Header& inner, const Packet& inner_wire) {
   Shard& shard = ShardOf(inner.dst);
-  auto it = shard.bindings.find(inner.dst);
-  if (it == shard.bindings.end()) {
+  auto it = shard.binding_by_home.find(inner.dst);
+  if (it == shard.binding_by_home.end()) {
     ++counters_.tunnel_drops_no_binding;
     return;
   }
@@ -384,8 +405,8 @@ void HomeAgent::ApplyMutation(const BindingMutation& mutation) {
       binding.registered_at = node_.sim().Now();
       binding.decapsulates_self = mutation.decapsulates_self;
       Shard& shard = ShardOf(mutation.home_address);
-      shard.bindings[mutation.home_address] = binding;
-      shard.bindings_gauge->Set(static_cast<double>(shard.bindings.size()));
+      shard.binding_by_home[mutation.home_address] = binding;
+      shard.bindings_gauge->Set(static_cast<double>(shard.binding_by_home.size()));
       SetGlobalBindingsGauge();
       last_identification_[mutation.home_address] = mutation.identification;
       resync_required_.erase(mutation.home_address);
@@ -414,7 +435,7 @@ HaBindingState HomeAgent::SnapshotState() const {
   // Shard-merged and address-sorted, preserving the documented snapshot
   // order regardless of the shard layout (peers may shard differently).
   for (Ipv4Address home : SortedBoundHomes()) {
-    const auto& binding = ShardOf(home).bindings.at(home);
+    const auto& binding = ShardOf(home).binding_by_home.at(home);
     HaBindingState::Entry entry;
     entry.home_address = home;
     entry.care_of = binding.care_of;
@@ -427,8 +448,8 @@ HaBindingState HomeAgent::SnapshotState() const {
     state.bindings.push_back(entry);
   }
   state.identifications.reserve(last_identification_.size());
-  for (const auto& [home, identification] : last_identification_) {
-    state.identifications.emplace_back(home, identification);
+  for (Ipv4Address home : SortedKeys(last_identification_)) {
+    state.identifications.emplace_back(home, last_identification_.at(home));
   }
   return state;
 }
@@ -451,8 +472,8 @@ void HomeAgent::AdoptState(const HaBindingState& state) {
     binding.registered_at = node_.sim().Now();
     binding.decapsulates_self = entry.decapsulates_self;
     Shard& shard = ShardOf(entry.home_address);
-    shard.bindings[entry.home_address] = binding;
-    shard.bindings_gauge->Set(static_cast<double>(shard.bindings.size()));
+    shard.binding_by_home[entry.home_address] = binding;
+    shard.bindings_gauge->Set(static_cast<double>(shard.binding_by_home.size()));
     ScheduleExpiry(entry.home_address, binding.expires);
     if (serving()) {
       InstallServingArpState(entry.home_address);
@@ -708,12 +729,12 @@ void HomeAgent::InstallBinding(const RegistrationRequest& request,
                                uint16_t granted_lifetime_sec) {
   const Ipv4Address home = request.home_address;
   Shard& shard = ShardOf(home);
-  auto it = shard.bindings.find(home);
+  auto it = shard.binding_by_home.find(home);
   const Ipv4Address old_care_of =
-      it != shard.bindings.end() ? it->second.care_of : Ipv4Address::Any();
+      it != shard.binding_by_home.end() ? it->second.care_of : Ipv4Address::Any();
 
   const bool old_was_foreign_agent =
-      it != shard.bindings.end() && !it->second.decapsulates_self;
+      it != shard.binding_by_home.end() && !it->second.decapsulates_self;
 
   Binding binding;
   binding.home_address = home;
@@ -730,8 +751,8 @@ void HomeAgent::InstallBinding(const RegistrationRequest& request,
   MSN_CHECK(config_.home_subnet.Contains(home))
       << home.ToString() << " outside " << config_.home_subnet.ToString();
   MSN_ASSERT(!binding.care_of.IsAny()) << "registration with an empty care-of address";
-  shard.bindings[home] = binding;
-  shard.bindings_gauge->Set(static_cast<double>(shard.bindings.size()));
+  shard.binding_by_home[home] = binding;
+  shard.bindings_gauge->Set(static_cast<double>(shard.binding_by_home.size()));
   SetGlobalBindingsGauge();
 
   // Previous-FA notification: late tunnel packets still headed to the old
@@ -769,13 +790,13 @@ void HomeAgent::InstallBinding(const RegistrationRequest& request,
 
 void HomeAgent::RemoveBinding(Ipv4Address home_address, bool expired) {
   Shard& shard = ShardOf(home_address);
-  auto it = shard.bindings.find(home_address);
-  if (it == shard.bindings.end()) {
+  auto it = shard.binding_by_home.find(home_address);
+  if (it == shard.binding_by_home.end()) {
     return;
   }
   const Ipv4Address old_care_of = it->second.care_of;
-  shard.bindings.erase(it);
-  shard.bindings_gauge->Set(static_cast<double>(shard.bindings.size()));
+  shard.binding_by_home.erase(it);
+  shard.bindings_gauge->Set(static_cast<double>(shard.binding_by_home.size()));
   SetGlobalBindingsGauge();
   RemoveServingArpState(home_address);
   if (expired) {
@@ -797,8 +818,8 @@ void HomeAgent::RemoveBinding(Ipv4Address home_address, bool expired) {
 void HomeAgent::ScheduleExpiry(Ipv4Address home_address, Time expires) {
   node_.sim().ScheduleAt(expires, [this, home_address, expires] {
     const Shard& shard = ShardOf(home_address);
-    auto it = shard.bindings.find(home_address);
-    if (it == shard.bindings.end() || it->second.expires > expires) {
+    auto it = shard.binding_by_home.find(home_address);
+    if (it == shard.binding_by_home.end() || it->second.expires > expires) {
       return;  // Removed or refreshed meanwhile.
     }
     RemoveBinding(home_address, /*expired=*/true);

@@ -48,6 +48,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -112,7 +113,8 @@ struct HaBindingState {
     bool decapsulates_self = true;
   };
   std::vector<Entry> bindings;
-  // Sorted by address (std::map iteration order) for determinism.
+  // Both lists are sorted by address for determinism, whatever the agent's
+  // shard layout or table order.
   std::vector<std::pair<Ipv4Address, uint64_t>> identifications;
 };
 
@@ -335,12 +337,15 @@ class HomeAgent {
   // One logical shard: its slice of the binding table, its request queue,
   // and its daemon's busy window. std::deque keeps references to queued
   // elements stable across push_back, which the supersede index relies on.
+  // Both per-home tables are hashed so a registration costs the same at 10
+  // bindings as at 10^5; every traversal whose order can reach behaviour or
+  // output walks sorted keys (SortedBoundHomes(), or SortedKeys() in the .cc).
   struct Shard {
-    std::map<Ipv4Address, Binding> bindings;
+    std::unordered_map<Ipv4Address, Binding> binding_by_home;
     std::deque<PendingRequest> queue;
     // home address -> queued slot, for retransmit supersede. Entries are
     // erased as their slot is dequeued.
-    std::map<Ipv4Address, PendingRequest*> queued_by_home;
+    std::unordered_map<Ipv4Address, PendingRequest*> queued_by_home;
     Time busy_until = Time::Zero();
     bool batch_scheduled = false;
     // Denials issued since the shard's daemon last ran a batch. The denial
@@ -395,8 +400,9 @@ class HomeAgent {
   std::vector<Shard> shards_;
   // Highest identification seen per home address; survives deregistration to
   // reject replays. Kept as one table: it is touched only on the (batched)
-  // registration path, never on the per-packet datapath.
-  std::map<Ipv4Address, uint64_t> last_identification_;
+  // registration path, never on the per-packet datapath. Hashed like the
+  // shard tables; SnapshotState sorts it.
+  std::unordered_map<Ipv4Address, uint64_t> last_identification_;
   std::set<Ipv4Address> authorized_;
   std::map<Ipv4Address, MipAuthKey> auth_keys_;
   BindingObserver observer_;

@@ -30,7 +30,7 @@ void ArpService::AddStaticEntry(Ipv4Address ip, MacAddress mac) {
 void ArpService::RemoveEntry(Ipv4Address ip) { cache_.erase(ip); }
 
 void ArpService::AddProxyEntry(NetDevice* device, Ipv4Address ip) {
-  proxies_[{device, ip}] = true;
+  proxies_.insert({device, ip});
 }
 
 void ArpService::RemoveProxyEntry(NetDevice* device, Ipv4Address ip) {
@@ -38,7 +38,7 @@ void ArpService::RemoveProxyEntry(NetDevice* device, Ipv4Address ip) {
 }
 
 bool ArpService::IsProxying(NetDevice* device, Ipv4Address ip) const {
-  return proxies_.count({device, ip}) > 0;
+  return proxies_.contains({device, ip});
 }
 
 void ArpService::Flush() { cache_.clear(); }

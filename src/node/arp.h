@@ -14,7 +14,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -111,7 +110,21 @@ class ArpService {
   std::unordered_map<Ipv4Address, CacheEntry> cache_;
   std::unordered_map<Ipv4Address, PendingResolution> pending_;
   // Proxy set keyed by (device, ip); a HA typically proxies on one interface.
-  std::map<std::pair<NetDevice*, Ipv4Address>, bool> proxies_;
+  // A fleet-scale home agent proxies every bound home address, and each
+  // accepted registration touches the set three times (install, two
+  // gratuitous repeats), so it is hashed; like the maps above it is only
+  // ever point-queried.
+  struct ProxyKey {
+    NetDevice* device;
+    Ipv4Address ip;
+    bool operator==(const ProxyKey&) const = default;
+  };
+  struct ProxyKeyHash {
+    size_t operator()(const ProxyKey& key) const {
+      return std::hash<Ipv4Address>()(key.ip) ^ std::hash<NetDevice*>()(key.device);
+    }
+  };
+  std::unordered_set<ProxyKey, ProxyKeyHash> proxies_;
   Duration entry_lifetime_ = Seconds(120);
   Counters counters_;
 };

@@ -27,8 +27,7 @@ EventId EventQueue::Schedule(Time when, Callback cb) {
     lane_.push_back(Item{when, seq, slot, gen});
     ++lane_stats_.lane_scheduled;
   } else {
-    heap_.push_back(Item{when, seq, slot, gen});
-    std::push_heap(heap_.begin(), heap_.end(), After);
+    HeapPush(Item{when, seq, slot, gen});
     ++lane_stats_.heap_scheduled;
   }
   ++live_count_;
@@ -51,9 +50,51 @@ bool EventQueue::Cancel(EventId id) {
   return true;
 }
 
+void EventQueue::HeapPush(const Item& item) {
+  // Sift the hole up from the new leaf; each parent moves down at most once
+  // and `item` is written once, at its final position.
+  size_t hole = heap_.size();
+  heap_.emplace_back();
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / kArity;
+    if (!After(heap_[parent], item)) {
+      break;
+    }
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = item;
+}
+
 void EventQueue::PopHeapItem() {
-  std::pop_heap(heap_.begin(), heap_.end(), After);
+  // Sift the hole left by the root down along the earliest children, then
+  // drop the last leaf into it.
+  const Item last = heap_.back();
   heap_.pop_back();
+  const size_t n = heap_.size();
+  if (n == 0) {
+    return;
+  }
+  size_t hole = 0;
+  for (;;) {
+    const size_t first = kArity * hole + 1;
+    if (first >= n) {
+      break;
+    }
+    const size_t end = std::min(first + kArity, n);
+    size_t best = first;
+    for (size_t c = first + 1; c < end; ++c) {
+      if (After(heap_[best], heap_[c])) {
+        best = c;
+      }
+    }
+    if (!After(last, heap_[best])) {
+      break;
+    }
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  heap_[hole] = last;
 }
 
 void EventQueue::DropCancelledHead() {

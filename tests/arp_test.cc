@@ -95,6 +95,64 @@ TEST_F(ArpFixture, ProxyArpAnswersForAbsentHost) {
   EXPECT_FALSE(b_.stack().arp().IsProxying(b_dev_, Ipv4Address(10, 0, 0, 50)));
 }
 
+// The proxy set is keyed by (device, ip): a proxy on one interface answers
+// only there, and removing it leaves the same address's proxy on another
+// interface in place.
+TEST_F(ArpFixture, ProxyEntriesAreKeyedByDevice) {
+  BroadcastMedium seg2(sim_, "seg2", EthernetMediumParams());
+  Node d(sim_, "d");
+  EthernetDevice* b_dev2 = b_.AddEthernet("eth1", &seg2);
+  EthernetDevice* d_dev = d.AddEthernet("eth0", &seg2);
+  b_dev2->ForceUp();
+  d_dev->ForceUp();
+  b_.ConfigureInterface(b_dev2, "10.0.1.1/24");
+  d.ConfigureInterface(d_dev, "10.0.1.4/24");
+  const Ipv4Address proxied(10, 0, 0, 50);
+  ArpService& arp = b_.stack().arp();
+  auto resolve = [&](Node& node, NetDevice* dev) {
+    std::optional<MacAddress> resolved;
+    node.stack().arp().Flush();
+    node.stack().arp().Resolve(dev, proxied,
+                               [&](std::optional<MacAddress> mac) { resolved = mac; });
+    sim_.Run();
+    return resolved;
+  };
+
+  arp.AddProxyEntry(b_dev_, proxied);
+  EXPECT_EQ(resolve(a_, a_dev_), b_dev_->mac());
+  EXPECT_FALSE(resolve(d, d_dev).has_value()) << "proxy on eth0 answered on eth1";
+  EXPECT_EQ(arp.counters().proxy_replies_sent, 1u);
+
+  arp.AddProxyEntry(b_dev2, proxied);
+  arp.RemoveProxyEntry(b_dev_, proxied);
+  EXPECT_FALSE(arp.IsProxying(b_dev_, proxied));
+  EXPECT_TRUE(arp.IsProxying(b_dev2, proxied));
+  EXPECT_FALSE(resolve(a_, a_dev_).has_value());
+  EXPECT_EQ(resolve(d, d_dev), b_dev2->mac());
+}
+
+TEST_F(ArpFixture, GratuitousRepeatsStopWhenProxyRemoved) {
+  const Ipv4Address proxied(10, 0, 0, 50);
+  ArpService& arp = b_.stack().arp();
+  arp.AddProxyEntry(b_dev_, proxied);
+  arp.AnnounceGratuitousArp(b_dev_, proxied);
+  sim_.Run();
+  EXPECT_EQ(arp.counters().gratuitous_sent,
+            static_cast<uint64_t>(ArpService::kGratuitousRepeats));
+
+  // Removed before the first repeat is due: the pending repeats stop, even
+  // though the same address is still proxied on another interface.
+  BroadcastMedium seg2(sim_, "seg2", EthernetMediumParams());
+  EthernetDevice* b_dev2 = b_.AddEthernet("eth1", &seg2);
+  b_dev2->ForceUp();
+  arp.AddProxyEntry(b_dev2, proxied);
+  arp.AnnounceGratuitousArp(b_dev_, proxied);
+  arp.RemoveProxyEntry(b_dev_, proxied);
+  sim_.Run();
+  EXPECT_EQ(arp.counters().gratuitous_sent,
+            static_cast<uint64_t>(ArpService::kGratuitousRepeats) + 1);
+}
+
 TEST_F(ArpFixture, GratuitousArpUpdatesExistingEntriesOnly) {
   // a has an entry for 10.0.0.2 -> b; c has none.
   a_.stack().arp().AddStaticEntry(Ipv4Address(10, 0, 0, 2), b_dev_->mac());

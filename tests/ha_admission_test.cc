@@ -1,7 +1,7 @@
 // Admission-control unit tests for the sharded home agent (DESIGN.md §17):
 // stateless denial before authentication work, the silent-drop budget,
-// retransmit-aware supersede, shard consistency, and the mobile host's
-// backoff-and-retry convergence once load clears.
+// retransmit-aware supersede, shard consistency, snapshot order, and the
+// mobile host's backoff-and-retry convergence once load clears.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -211,6 +211,70 @@ TEST_F(HaAdmissionFixture, ShardedTableStaysConsistent) {
   for (uint32_t i = 0; i < kHomes; ++i) {
     EXPECT_TRUE(tb_->home_agent->HasBinding(Home(i)));
   }
+}
+
+// The per-home tables are hashed, so the snapshot must sort: bindings and
+// identifications come out in ascending address order however they were
+// installed, and adopting a snapshot reproduces it exactly.
+TEST_F(HaAdmissionFixture, SnapshotIsAddressOrderedAndSurvivesAdoption) {
+  Build(/*shards=*/4, /*batch_max=*/4, /*admission_limit=*/0);
+  HomeAgent& ha = *tb_->home_agent;
+  constexpr uint32_t kHomes = 1000;
+  // Ascending in i, and clear of the MH, router and prober addresses.
+  auto home = [](uint32_t i) {
+    return Ipv4Address(36, 135, static_cast<uint8_t>(1 + i / 200),
+                       static_cast<uint8_t>(1 + i % 200));
+  };
+  for (uint32_t k = 0; k < kHomes; ++k) {
+    const uint32_t i = (k * 389) % kHomes;  // 389 is coprime to 1000: scrambled.
+    BindingMutation m;
+    m.home_address = home(i);
+    m.identification = 5000 + i;
+    if (i % 4 == 3) {
+      m.kind = BindingMutation::Kind::kIdentification;  // History, no binding.
+    } else {
+      m.kind = BindingMutation::Kind::kInstall;
+      m.care_of = CareOf(i % 100);
+      m.lifetime_sec = static_cast<uint16_t>(100 + i % 50);
+      m.decapsulates_self = i % 2 == 0;
+    }
+    ha.ApplyMutation(m);
+  }
+
+  const HaBindingState first = ha.SnapshotState();
+  ASSERT_EQ(first.identifications.size(), kHomes);
+  for (uint32_t i = 0; i < kHomes; ++i) {
+    EXPECT_EQ(first.identifications[i].first, home(i));
+    EXPECT_EQ(first.identifications[i].second, 5000u + i);
+  }
+  ASSERT_EQ(first.bindings.size(), kHomes * 3 / 4);
+  size_t j = 0;
+  for (uint32_t i = 0; i < kHomes; ++i) {
+    if (i % 4 == 3) {
+      continue;
+    }
+    const HaBindingState::Entry& e = first.bindings[j++];
+    EXPECT_EQ(e.home_address, home(i));
+    EXPECT_EQ(e.care_of, CareOf(i % 100));
+    EXPECT_EQ(e.lifetime_sec, 100 + i % 50);
+    EXPECT_EQ(e.identification, 5000u + i);
+    EXPECT_EQ(e.decapsulates_self, i % 2 == 0);
+  }
+
+  ha.AdoptState(first);
+  const HaBindingState second = ha.SnapshotState();
+  EXPECT_EQ(second.identifications, first.identifications);
+  ASSERT_EQ(second.bindings.size(), first.bindings.size());
+  for (size_t k = 0; k < first.bindings.size(); ++k) {
+    const HaBindingState::Entry& a = first.bindings[k];
+    const HaBindingState::Entry& b = second.bindings[k];
+    EXPECT_EQ(b.home_address, a.home_address);
+    EXPECT_EQ(b.care_of, a.care_of);
+    EXPECT_EQ(b.lifetime_sec, a.lifetime_sec);
+    EXPECT_EQ(b.identification, a.identification);
+    EXPECT_EQ(b.decapsulates_self, a.decapsulates_self);
+  }
+  EXPECT_EQ(ha.ShardConsistencyError(), "");
 }
 
 TEST_F(HaAdmissionFixture, DeniedMobileHostBacksOffAndConverges) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -259,6 +261,80 @@ TEST(EventQueueTest, BurstStressMatchesReferenceQueue) {
     EXPECT_EQ(fired, ref_fired) << "fire order diverged from reference, seed " << seed;
     EXPECT_GT(q.lane_stats().lane_scheduled, 0u)
         << "stress never exercised the lane, seed " << seed;
+  }
+}
+
+// Deep backlog: a fleet-scale home agent keeps ~10^5 binding-expiry timers
+// pending far in the future while near-term work churns on top of them. Hold
+// 60k far events (with many equal timestamps), interleave near schedules,
+// lane schedules, random cancels and pops, then drain; every pop must match
+// an ordered (when, seq) reference. Growing to and draining from 60k walks
+// the heap through every size, so every n mod 4 last-level fill is sifted.
+TEST(EventQueueTest, DeepBacklogMatchesReferenceOrder) {
+  constexpr int kFar = 60'000;
+  constexpr int kSteps = 40'000;
+  constexpr int64_t kFarStart = 1'000'000'000;
+  for (const uint64_t seed : {3ull, 1003ull}) {
+    EventQueue q;
+    Rng rng(seed);
+    std::set<std::pair<int64_t, uint64_t>> ref;  // (when, schedule order)
+    std::vector<std::tuple<EventId, int64_t, uint64_t>> handles;
+    uint64_t next_seq = 0;
+    uint64_t fired_seq = 0;
+    std::set<size_t> sizes_mod4;
+
+    auto schedule = [&](int64_t when) {
+      const uint64_t seq = next_seq++;
+      EventId id = q.Schedule(Time::FromNanos(when), [&fired_seq, seq] { fired_seq = seq; });
+      ref.emplace(when, seq);
+      handles.emplace_back(id, when, seq);
+    };
+    int64_t now = 0;
+    auto pop_and_check = [&] {
+      ASSERT_FALSE(ref.empty());
+      sizes_mod4.insert(q.size() % 4);
+      const auto expected = *ref.begin();
+      ASSERT_EQ(q.NextTime(), Time::FromNanos(expected.first));
+      EventQueue::Entry e = q.PopNext();
+      e.cb();
+      ASSERT_EQ(e.when.nanos(), expected.first);
+      ASSERT_EQ(fired_seq, expected.second) << "pop order diverged, seed " << seed;
+      ref.erase(ref.begin());
+      now = expected.first;
+    };
+
+    for (int i = 0; i < kFar; ++i) {
+      schedule(kFarStart + static_cast<int64_t>(rng.UniformInt(uint64_t{0}, uint64_t{20'000})));
+    }
+    for (int step = 0; step < kSteps; ++step) {
+      const double roll = rng.UniformDouble();
+      if (roll < 0.45) {
+        // Near work; a zero delay lands in the immediate lane once a pop has
+        // opened it at `now`.
+        schedule(now + static_cast<int64_t>(rng.UniformInt(uint64_t{0}, uint64_t{100})));
+      } else if (roll < 0.50) {
+        schedule(kFarStart + static_cast<int64_t>(rng.UniformInt(uint64_t{0}, uint64_t{20'000})));
+      } else if (roll < 0.62) {
+        const size_t pick = rng.UniformInt(uint64_t{0}, uint64_t{handles.size() - 1});
+        const auto [id, when, seq] = handles[pick];
+        handles[pick] = handles.back();
+        handles.pop_back();
+        // Cancel succeeds exactly when the reference still holds the event.
+        ASSERT_EQ(q.Cancel(id), ref.erase({when, seq}) == 1) << "seed " << seed;
+      } else {
+        pop_and_check();
+        ASSERT_FALSE(HasFatalFailure());
+      }
+      ASSERT_EQ(q.size(), ref.size());
+    }
+    ASSERT_GE(ref.size(), static_cast<size_t>(kFar / 2)) << "backlog never stayed deep";
+    while (!ref.empty()) {
+      pop_and_check();
+      ASSERT_FALSE(HasFatalFailure());
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(sizes_mod4.size(), 4u);
+    EXPECT_GT(q.lane_stats().lane_scheduled, 0u) << "never exercised the lane, seed " << seed;
   }
 }
 
